@@ -41,6 +41,7 @@ from .experiment import (
 from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
     Fixed,
+    LogitCache,
     LogitRecord,
     LogitSummary,
     MaxVal,

@@ -58,11 +58,12 @@ def _cmd_distill(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    records = read_logit_cache(args.cache)
-    if not records:
+    cache = read_logit_cache(args.cache)
+    if not len(cache):
         raise ContractError(f"{args.cache}: cache has no records")
-    hits = sum(1 for r in records if int(np.argmax(r.logits)) == r.label)
-    print(f"top1={hits / len(records)!r} ({hits}/{len(records)})")
+    # argmax ties resolve to the lowest class index
+    hits = int(np.count_nonzero(cache.logits.argmax(axis=1) == cache.labels))
+    print(f"top1={hits / len(cache)!r} ({hits}/{len(cache)})")
     return 0
 
 

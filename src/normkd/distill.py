@@ -19,10 +19,13 @@ All losses share these conventions:
   treated as constants.
 
 The per-sample losses floor each sample's statistic at ``epsilon`` before
-scaling, so constant-logit rows soften to near-uniform instead of
-dividing by zero.  The student-side statistic (its standard deviation,
-maximum, or range) is differentiated through by default; pass
-``detach_student_stat=True`` to treat it as a constant for ablations.
+scaling, so no row divides by zero.  That makes a constant row soften to
+uniform, but not every degenerate row: under MaxVal a non-constant row
+whose maximum is not positive is divided by a temperature near
+``epsilon`` and sharpened hard, toward one-hot.  The student-side
+statistic (its standard deviation, maximum, or range) is differentiated
+through by default; pass ``detach_student_stat=True`` to treat it as a
+constant for ablations.
 """
 
 from __future__ import annotations

@@ -53,8 +53,10 @@ from .errors import ConfigError, ContractError
 from .ioutil import atomic_write_text
 from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
+    LogitCache,
     LogitRecord,
     MaxVal,
+    NormStd,
     Range,
     TemperatureRule,
     parse_rule,
@@ -312,7 +314,7 @@ def _teacher_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
 
 def _train_teacher_for_seed(
     cfg: ExperimentConfig, seed: int, train_ds: Dataset, val_ds: Dataset, seed_dir: Path
-) -> tuple[list[LogitRecord], TrainHistory, float]:
+) -> tuple[LogitCache, TrainHistory, float]:
     spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
     params, history = train(spec, _teacher_config(cfg, seed), train_ds, None, val_ds)
     write_logit_cache(seed_dir / "teacher.train.nkdl", cache_teacher_logits(params, train_ds))
@@ -423,8 +425,8 @@ def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray, c: int) -
 
 
 def analyze(
-    teacher_records: list[LogitRecord],
-    student_records: list[LogitRecord],
+    teacher_records: LogitCache | list[LogitRecord],
+    student_records: LogitCache | list[LogitRecord],
     t_norm: float = 2.0,
     epsilon: float = 1e-8,
     corrected: bool = True,
@@ -433,27 +435,28 @@ def analyze(
 
     Matrix entry [c1, c2] is |mean over samples of true class c1 of
     (student prob of c2 - teacher prob of c2)|, with probabilities taken
-    at T=1 (raw) and at each sample's own normalized temperature (norm).
-    Classes with no samples keep zero rows.
+    at T=1 (raw) and at each sample's own normalized temperature (norm),
+    max(std(z), epsilon) * t_norm; both t_norm and epsilon must be
+    positive.  Classes with no samples keep zero rows.
     """
-    if len(teacher_records) != len(student_records) or not teacher_records:
+    rule = NormStd(t_norm, epsilon)
+    teacher = LogitCache.from_records(teacher_records)
+    student = LogitCache.from_records(student_records)
+    if len(teacher) != len(student) or not len(teacher):
         raise ContractError(
-            f"cache sizes differ or are empty: {len(teacher_records)} vs {len(student_records)}"
+            f"cache sizes differ or are empty: {len(teacher)} vs {len(student)}"
         )
-    c = teacher_records[0].logits.shape[0]
-    for t_rec, s_rec in zip(teacher_records, student_records):
-        if t_rec.logits.shape[0] != c or s_rec.logits.shape[0] != c:
-            raise ContractError("caches disagree on class count")
-        if t_rec.sample_id != s_rec.sample_id or t_rec.label != s_rec.label:
-            raise ContractError(
-                f"caches disagree on sample order at id {t_rec.sample_id}"
-            )
-    z_t = np.stack([r.logits for r in teacher_records])
-    z_s = np.stack([r.logits for r in student_records])
-    labels = np.array([r.label for r in teacher_records])
+    if teacher.num_classes != student.num_classes:
+        raise ContractError("caches disagree on class count")
+    mismatch = (teacher.sample_ids != student.sample_ids) | (teacher.labels != student.labels)
+    if mismatch.any():
+        raise ContractError(
+            f"caches disagree on sample order at id {teacher.sample_ids[mismatch.argmax()]}"
+        )
+    labels, c = teacher.labels, teacher.num_classes
 
-    def _stats(records):
-        s = summarize(records, corrected)
+    def _stats(cache):
+        s = summarize(cache, corrected)
         return {
             "sigma": s.sigma,
             "v_max": s.v_max,
@@ -462,14 +465,15 @@ def analyze(
         }
 
     def _norm_probs(z):
-        temps = np.maximum(row_std(z, corrected), epsilon) * t_norm
+        temps = np.maximum(row_std(z, corrected), rule.epsilon) * rule.t_norm
         return softmax_values(z / temps)
 
+    z_t, z_s = teacher.logits, student.logits
     return AnalysisResult(
-        sample_ids=np.array([r.sample_id for r in teacher_records]),
+        sample_ids=teacher.sample_ids,
         labels=labels,
-        teacher_stats=_stats(teacher_records),
-        student_stats=_stats(student_records),
+        teacher_stats=_stats(teacher),
+        student_stats=_stats(student),
         raw_matrix=_diff_matrix(softmax_values(z_s), softmax_values(z_t), labels, c),
         norm_matrix=_diff_matrix(_norm_probs(z_s), _norm_probs(z_t), labels, c),
     )
@@ -482,26 +486,20 @@ def write_analysis(result: AnalysisResult, out_dir: Path | str) -> tuple[Path, P
     summary_path = out_dir / "analyze_summary.csv"
     stat_names = ("sigma", "v_max", "v_min", "entropy")
     header = ["sample_id", "label"]
+    columns = [result.sample_ids, result.labels]
     for stat in stat_names:
         header += [f"teacher_{stat}", f"student_{stat}"]
-    rows = []
-    for i in range(result.sample_ids.size):
-        row = [int(result.sample_ids[i]), int(result.labels[i])]
-        for stat in stat_names:
-            row += [
-                repr(float(result.teacher_stats[stat][i])),
-                repr(float(result.student_stats[stat][i])),
-            ]
-        rows.append(tuple(row))
-    _write_csv(summary_path, tuple(header), rows)
+        columns += [result.teacher_stats[stat], result.student_stats[stat]]
+    # each cell is the repr of a Python int or float; csv formats floats more slowly
+    _write_csv(summary_path, tuple(header), zip(*(map(repr, col.tolist()) for col in columns)))
 
     matrix_path = out_dir / "analyze_matrix.csv"
     c = result.raw_matrix.shape[0]
     header = ("variant", "true_class") + tuple(f"abs_mean_prob_diff_{j}" for j in range(c))
     rows = []
     for variant, matrix in (("raw", result.raw_matrix), ("normalized", result.norm_matrix)):
-        for c1 in range(c):
-            rows.append((variant, c1) + tuple(repr(float(v)) for v in matrix[c1]))
+        for c1, values in enumerate(matrix.tolist()):
+            rows.append((variant, c1, *map(repr, values)))
     _write_csv(matrix_path, header, rows)
     return summary_path, matrix_path
 
@@ -582,6 +580,8 @@ def gradient_check_suite(
     whose analytic gradient gets sign-flipped, as a sensitivity self-test
     of the audit itself.
     """
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
     if inject_fault is not None and inject_fault not in GRAD_CHECK_LOSSES:
         raise ConfigError(
             f"unknown loss {inject_fault!r}; choose from {', '.join(GRAD_CHECK_LOSSES)}"

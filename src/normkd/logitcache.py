@@ -20,31 +20,50 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, FileFormatError
+from .errors import ContractError, FileFormatError, NumericError
 from .ioutil import atomic_write_bytes
-from .logitstats import LogitRecord
+from .logitstats import LogitCache, LogitRecord
 
 MAGIC = b"NKDL"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
+_ID_LIMIT = 2**32
 
 
-def write_logit_cache(path: Path | str, records: list[LogitRecord]) -> None:
-    if not records:
+def _record_dtype(c: int) -> np.dtype:
+    return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))])
+
+
+def write_logit_cache(path: Path | str, records: LogitCache | list[LogitRecord]) -> None:
+    """Write a cache; ids must fit u32 and logits the float32 range.
+
+    Every check runs before the file is touched.
+    """
+    cache = LogitCache.from_records(records)
+    if not len(cache):
         raise ContractError("refusing to write an empty logit cache")
-    c = records[0].logits.shape[0]
-    parts = [_HEADER.pack(MAGIC, VERSION, len(records), c)]
-    for i, rec in enumerate(records):
-        if rec.logits.shape[0] != c:
-            raise ContractError(
-                f"record {i} has {rec.logits.shape[0]} classes, expected {c}"
-            )
-        parts.append(struct.pack("<II", rec.sample_id, rec.label))
-        parts.append(rec.logits.astype("<f4").tobytes())
-    atomic_write_bytes(path, b"".join(parts))
+    n, c = cache.logits.shape
+    bad_id = (cache.sample_ids < 0) | (cache.sample_ids >= _ID_LIMIT)
+    if bad_id.any():
+        i = int(bad_id.argmax())
+        raise ContractError(
+            f"record {i} has sample_id {cache.sample_ids[i]}, outside [0, 2**32)"
+        )
+    with np.errstate(over="ignore"):
+        narrowed = cache.logits.astype("<f4")
+    overflow = ~np.isfinite(narrowed).all(axis=1)
+    if overflow.any():
+        i = int(overflow.argmax())
+        raise NumericError(f"record {i} has logits outside the float32 range")
+    body = np.empty(n, dtype=_record_dtype(c))
+    body["sample_id"] = cache.sample_ids
+    body["label"] = cache.labels
+    body["logits"] = narrowed
+    atomic_write_bytes(path, _HEADER.pack(MAGIC, VERSION, n, c) + body.tobytes())
 
 
-def read_logit_cache(path: Path | str) -> list[LogitRecord]:
+def read_logit_cache(path: Path | str) -> LogitCache:
+    """Read a cache; the first invalid record is named with its byte offset."""
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -67,21 +86,9 @@ def read_logit_cache(path: Path | str) -> list[LogitRecord]:
             f"{path}: expected {expected} bytes for {n} records of {c} classes, "
             f"got {len(data)}"
         )
-    rec_dtype = np.dtype(
-        [("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))]
-    )
-    raw = np.frombuffer(data, dtype=rec_dtype, count=n, offset=_HEADER.size)
-    records = []
-    for i in range(n):
-        try:
-            records.append(
-                LogitRecord(
-                    int(raw["sample_id"][i]),
-                    int(raw["label"][i]),
-                    raw["logits"][i].astype(np.float64),
-                )
-            )
-        except ContractError as exc:
-            offset = _HEADER.size + i * (8 + 4 * c)
-            raise FileFormatError(f"{path}: bad record {i} at offset {offset}: {exc}") from exc
-    return records
+    raw = np.frombuffer(data, dtype=_record_dtype(c), count=n, offset=_HEADER.size)
+    try:
+        return LogitCache(raw["sample_id"], raw["label"], raw["logits"])
+    except ContractError as exc:
+        offset = _HEADER.size + exc.row * (8 + 4 * c)
+        raise FileFormatError(f"{path}: bad record {exc.row} at offset {offset}: {exc}") from exc

@@ -10,9 +10,18 @@ temperature (or set of temperatures) used to soften it:
 * ``Range(T_v, eps)``     - per-sample ``max(max(z) - min(z), eps) * T_v``.
 
 The epsilon floor keeps degenerate samples (constant logits, non-positive
-maxima) trainable instead of raising: the softened label degrades to
-near-uniform.  Note that the Range rule is invariant to adding a constant
-to all logits while MaxVal is not; both behaviours are intentional.
+maxima) finite instead of raising.  It makes a constant row soften to
+uniform, but not every degenerate row: MaxVal floors a row whose maximum
+is not positive whatever its spread, so a non-constant such row is
+divided by a temperature near ``epsilon`` and sharpened hard, toward
+one-hot.  NormStd and Range floor only rows whose spread is already
+below ``epsilon``.  Note that the Range rule is invariant to adding a
+constant to all logits while MaxVal is not; both behaviours are
+intentional.
+
+A batch of samples travels as one :class:`LogitCache`: id and label
+columns plus an (N, C) logit matrix, validated once with array checks.
+:class:`LogitRecord` is the one-sample view of a row.
 """
 
 from __future__ import annotations
@@ -37,11 +46,96 @@ class LogitRecord:
     logits: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "logits", as_vector(self.logits, "logits"))
-        if self.label < 0 or self.label >= self.logits.shape[0]:
-            raise ContractError(
-                f"label {self.label} outside [0, {self.logits.shape[0]})"
+        object.__setattr__(self, "logits", _check_row(self.label, self.logits))
+
+
+def _check_row(label: int, logits) -> np.ndarray:
+    """One row's logits as a finite float64 vector; its label must index them."""
+    z = as_vector(logits, "logits")
+    if label < 0 or label >= z.shape[0]:
+        raise ContractError(f"label {label} outside [0, {z.shape[0]})")
+    return z
+
+
+@dataclass(frozen=True, eq=False)
+class LogitCache:
+    """N samples' raw class logits as columns, in sample order.
+
+    ``sample_ids`` and ``labels`` are int64 vectors of length N and
+    ``logits`` is a float64 (N, C) matrix; the arrays are held as given
+    when they already have these dtypes.  Construction checks every row
+    at once: logits finite and each label in [0, C).  For the first row
+    that fails, it raises the error :class:`LogitRecord` raises for that
+    row, with the row's index in the error's ``row`` attribute.
+
+    ``len``, iteration and integer indexing give per-row
+    :class:`LogitRecord` views; a slice gives a LogitCache.
+    """
+
+    sample_ids: np.ndarray
+    labels: np.ndarray
+    logits: np.ndarray
+
+    def __post_init__(self):
+        logits = np.asarray(self.logits, dtype=np.float64)
+        if logits.ndim != 2:
+            raise DimensionError(f"logits must be 2-D, got shape {logits.shape}")
+        n, c = logits.shape
+        ids = np.asarray(self.sample_ids, dtype=np.int64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        if ids.shape != (n,) or labels.shape != (n,):
+            raise DimensionError(
+                f"sample_ids {ids.shape} and labels {labels.shape} must both "
+                f"have shape ({n},) to match logits {logits.shape}"
             )
+        bad = (labels < 0) | (labels >= c) | ~np.isfinite(logits).all(axis=1)
+        if bad.any():
+            row = int(bad.argmax())
+            try:
+                _check_row(int(labels[row]), logits[row])
+            except ContractError as exc:
+                exc.row = row
+                raise
+        object.__setattr__(self, "sample_ids", ids)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "logits", logits)
+
+    @classmethod
+    def from_records(cls, records) -> "LogitCache":
+        """Columnar form of a sequence of LogitRecord; a LogitCache passes through."""
+        if isinstance(records, cls):
+            return records
+        records = list(records)
+        if not records:
+            return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 0)))
+        c = records[0].logits.shape[0]
+        for i, rec in enumerate(records):
+            if rec.logits.shape[0] != c:
+                raise DimensionError(
+                    f"record {i} has {rec.logits.shape[0]} classes, expected {c}"
+                )
+        return cls(
+            np.array([rec.sample_id for rec in records]),
+            np.array([rec.label for rec in records]),
+            np.stack([rec.logits for rec in records]),
+        )
+
+    @property
+    def num_classes(self) -> int:
+        return self.logits.shape[1]
+
+    def __len__(self) -> int:
+        return self.logits.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LogitCache(self.sample_ids[index], self.labels[index], self.logits[index])
+        return LogitRecord(
+            int(self.sample_ids[index]), int(self.labels[index]), self.logits[index]
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -161,7 +255,7 @@ class LogitSummary:
 
 
 def summarize(
-    records: list[LogitRecord],
+    records: LogitCache | list[LogitRecord],
     corrected: bool = True,
     bins: int = HISTOGRAM_BINS,
 ) -> LogitSummary:
@@ -171,15 +265,10 @@ def summarize(
     ``bins`` uniform bins over [min, max] of the observed sigmas (numpy
     widens a degenerate range by 0.5 on each side).
     """
-    if not records:
+    cache = LogitCache.from_records(records)
+    if not len(cache):
         raise ContractError("summarize needs at least one record")
-    c = records[0].logits.shape[0]
-    for rec in records:
-        if rec.logits.shape[0] != c:
-            raise DimensionError(
-                f"record {rec.sample_id} has {rec.logits.shape[0]} classes, expected {c}"
-            )
-    z = np.stack([rec.logits for rec in records])
+    z = cache.logits
     sigma = row_std(z, corrected)[:, 0]
     log_p = log_softmax_values(z)
     counts, edges = np.histogram(sigma, bins=bins, range=(sigma.min(), sigma.max()))

@@ -21,7 +21,7 @@ import numpy as np
 from .datasets import Dataset
 from .distill import cross_entropy, distill_loss
 from .errors import ConfigError, ContractError
-from .logitstats import LogitRecord, TemperatureRule
+from .logitstats import LogitCache, TemperatureRule
 from .numcore import Tape, affine, multiply, relu, value_of
 
 
@@ -133,17 +133,15 @@ def evaluate(params: Params, data: Dataset) -> float:
     return float(np.mean(logits.argmax(axis=1) == data.labels))
 
 
-def cache_teacher_logits(params: Params, data: Dataset) -> list[LogitRecord]:
+def cache_teacher_logits(params: Params, data: Dataset) -> LogitCache:
     """Raw (unsoftened) logits for every sample, in dataset order."""
-    logits = forward(params, data.features)
-    return [
-        LogitRecord(i, int(data.labels[i]), logits[i].copy())
-        for i in range(data.n_samples)
-    ]
+    return LogitCache(
+        np.arange(data.n_samples), data.labels.copy(), forward(params, data.features)
+    )
 
 
 def _teacher_matrix(cache, data: Dataset) -> np.ndarray:
-    """Validate a teacher cache against the dataset and stack its logits."""
+    """Validate a teacher cache against the dataset; return its logit matrix."""
     if isinstance(cache, np.ndarray):
         if cache.shape != (data.n_samples, data.num_classes):
             raise ContractError(
@@ -151,23 +149,24 @@ def _teacher_matrix(cache, data: Dataset) -> np.ndarray:
                 f"({data.n_samples} samples, {data.num_classes} classes)"
             )
         return np.asarray(cache, dtype=np.float64)
-    records = list(cache)
-    if len(records) != data.n_samples:
+    cache = LogitCache.from_records(cache)
+    if len(cache) != data.n_samples:
         raise ContractError(
-            f"teacher cache has {len(records)} records, dataset has {data.n_samples}"
+            f"teacher cache has {len(cache)} records, dataset has {data.n_samples}"
         )
-    for i, rec in enumerate(records):
-        if rec.logits.shape[0] != data.num_classes:
-            raise ContractError(
-                f"teacher cache record {i} has {rec.logits.shape[0]} classes, "
-                f"dataset has {data.num_classes}"
-            )
-        if rec.sample_id != i or rec.label != int(data.labels[i]):
-            raise ContractError(
-                f"teacher cache record {i} (sample_id={rec.sample_id}, "
-                f"label={rec.label}) does not match dataset row"
-            )
-    return np.stack([rec.logits for rec in records])
+    if cache.num_classes != data.num_classes:
+        raise ContractError(
+            f"teacher cache record 0 has {cache.num_classes} classes, "
+            f"dataset has {data.num_classes}"
+        )
+    mismatch = (cache.sample_ids != np.arange(data.n_samples)) | (cache.labels != data.labels)
+    if mismatch.any():
+        i = int(mismatch.argmax())
+        raise ContractError(
+            f"teacher cache record {i} (sample_id={cache.sample_ids[i]}, "
+            f"label={cache.labels[i]}) does not match dataset row"
+        )
+    return cache.logits
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -218,9 +217,10 @@ def train(
 ) -> tuple[Params, TrainHistory]:
     """Minimize alpha*CE + beta*KLD(rule) over the training split.
 
-    ``teacher_logits`` is an optional cache (list of LogitRecord in
-    dataset order, or an (N, C) array) covering every training sample;
-    without it the objective is alpha-scaled plain cross entropy.
+    ``teacher_logits`` is an optional cache (a LogitCache or list of
+    LogitRecord in dataset order, or an (N, C) array) covering every
+    training sample; without it the objective is alpha-scaled plain cross
+    entropy.
     History records ce/kld/total/top1 per epoch for the train split and,
     when ``val_data`` is given, the validation split; validation rows
     report plain cross entropy (kld 0), since teacher logits are cached

@@ -127,6 +127,18 @@ class TestEvalCommand:
         assert main(["eval", "--cache", str(tmp_path / "c.nkdl")]) == 0
         assert "top1=0.5 (1/2)" in capsys.readouterr().out
 
+    def test_exact_ties_count_the_first_index(self, tmp_path, capsys):
+        # every row has a tied maximum; the first tied class is the prediction
+        records = [
+            LogitRecord(0, 0, np.array([1.0, 0.0, 1.0])),
+            LogitRecord(1, 2, np.array([1.0, 0.0, 1.0])),
+            LogitRecord(2, 1, np.array([-3.0, 5.0, 5.0])),
+            LogitRecord(3, 2, np.array([2.0, 2.0, 2.0])),
+        ]
+        write_logit_cache(tmp_path / "ties.nkdl", records)
+        assert main(["eval", "--cache", str(tmp_path / "ties.nkdl")]) == 0
+        assert "top1=0.5 (2/4)" in capsys.readouterr().out
+
     def test_bad_cache_exits_3(self, tmp_path, capsys):
         (tmp_path / "junk.nkdl").write_bytes(b"not a cache")
         assert main(["eval", "--cache", str(tmp_path / "junk.nkdl")]) == 3
@@ -171,6 +183,23 @@ class TestAnalyzeCommand:
         )
 
 
+    @pytest.mark.parametrize("t_norm", ["0", "-1"])
+    def test_non_positive_t_norm_exits_4(self, tmp_path, capsys, t_norm):
+        write_logit_cache(tmp_path / "a.nkdl", [LogitRecord(0, 0, np.array([1.0, 0.0, 2.0]))])
+        argv = [
+            "analyze",
+            "--teacher-cache", str(tmp_path / "a.nkdl"),
+            "--student-cache", str(tmp_path / "a.nkdl"),
+            "--out-dir", str(tmp_path / "x"),
+            "--t-norm", t_norm,
+        ]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert "t_norm must be strictly positive" in captured.err
+        assert "frobenius" not in captured.out
+        assert not (tmp_path / "x").exists()
+
+
 class TestGradCheckCommand:
     def test_passes_and_lists_every_loss(self, capsys):
         assert main(["grad-check", "--instances", "3"]) == 0
@@ -182,3 +211,10 @@ class TestGradCheckCommand:
         assert main(["grad-check", "--instances", "2", "--inject-fault", "kd"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_a_config_error(self, capsys, instances):
+        assert main(["grad-check", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert "instances must be at least 1" in captured.err
+        assert "ok" not in captured.out

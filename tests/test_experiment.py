@@ -19,7 +19,7 @@ from normkd.experiment import (
     write_analysis,
 )
 from normkd.logitcache import write_logit_cache
-from normkd.logitstats import Fixed, LogitRecord, sample_std
+from normkd.logitstats import Fixed, LogitCache, LogitRecord, sample_std
 
 
 BASE_CONFIG = """
@@ -246,6 +246,43 @@ class TestAnalyze:
         assert {r["variant"] for r in rows} == {"raw", "normalized"}
 
 
+    @pytest.mark.parametrize("t_norm", [0.0, -1.0, float("nan")])
+    def test_non_positive_t_norm_rejected(self, t_norm):
+        records = fake_records(np.random.default_rng(5), 4, 3)
+        with pytest.raises(ContractError, match="t_norm must be strictly positive"):
+            analyze(records, records, t_norm=t_norm)
+
+    def test_columnar_and_record_inputs_agree(self):
+        rng = np.random.default_rng(6)
+        teacher = fake_records(rng, 20, 4)
+        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=4)) for r in teacher]
+        a = analyze(teacher, student)
+        b = analyze(LogitCache.from_records(teacher), LogitCache.from_records(student))
+        np.testing.assert_array_equal(a.raw_matrix, b.raw_matrix)
+        np.testing.assert_array_equal(a.norm_matrix, b.norm_matrix)
+        for stat in a.teacher_stats:
+            np.testing.assert_array_equal(a.student_stats[stat], b.student_stats[stat])
+
+    def test_write_analysis_matches_per_value_repr(self, tmp_path):
+        # reference rendering: one repr(float(...)) per cell, the format of the CSV contract
+        rng = np.random.default_rng(7)
+        teacher = fake_records(rng, 6, 3)
+        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=3)) for r in teacher]
+        result = analyze(teacher, student)
+        summary_path, matrix_path = write_analysis(result, tmp_path)
+        lines = summary_path.read_text().splitlines()
+        for i, line in enumerate(lines[1:]):
+            cells = [str(int(result.sample_ids[i])), str(int(result.labels[i]))]
+            for stat in ("sigma", "v_max", "v_min", "entropy"):
+                cells += [repr(float(result.teacher_stats[stat][i])),
+                          repr(float(result.student_stats[stat][i]))]
+            assert line == ",".join(cells)
+        rows = matrix_path.read_text().splitlines()[1:]
+        assert rows[4] == ",".join(
+            ["normalized", "1"] + [repr(float(v)) for v in result.norm_matrix[1]]
+        )
+
+
 class TestAnalyzeDemoRun:
     def test_normkd_student_matches_normalized_logits_better_than_raw(self):
         """On the bundled desk-scale run, the per-sample-normalized
@@ -289,3 +326,8 @@ class TestGradientCheckSuite:
     def test_unknown_fault_rejected(self):
         with pytest.raises(ConfigError):
             gradient_check_suite(instances=1, inject_fault="nope")
+
+    @pytest.mark.parametrize("instances", [0, -3])
+    def test_no_instances_rejected(self, instances):
+        with pytest.raises(ConfigError, match="instances must be at least 1"):
+            gradient_check_suite(instances=instances)

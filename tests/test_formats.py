@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from normkd.datasets import Dataset, make_blobs, read_dataset, write_dataset
-from normkd.errors import ConfigError, ContractError, FileFormatError
+from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import LogitRecord
+from normkd.logitstats import LogitCache, LogitRecord
 
 
 class TestMakeBlobs:
@@ -200,3 +200,95 @@ class TestLogitCacheFile:
         np.testing.assert_array_equal(
             back.logits, record.logits.astype(np.float32).astype(np.float64)
         )
+
+
+def four_record_file(path, label2=1, logit2=0.0):
+    """A 4-record, 3-class cache whose record 2 carries the given label and first logit."""
+    body = b""
+    for i in range(4):
+        label, z = (label2, [logit2, 1.0, 2.0]) if i == 2 else (1, [0.0, 1.0, 2.0])
+        body += struct.pack("<II", i, label) + np.array(z, dtype="<f4").tobytes()
+    path.write_bytes(struct.pack("<4sIII", b"NKDL", 1, 4, 3) + body)
+    return path
+
+
+class TestLogitCacheBoundaries:
+    @pytest.mark.parametrize(
+        "label2,logit2,message",
+        [
+            (3, 0.0, "label 3 outside"),
+            (1, np.nan, "non-finite"),
+            (1, np.inf, "non-finite"),
+        ],
+    )
+    def test_bad_record_reports_its_own_index_and_offset(self, tmp_path, label2, logit2, message):
+        path = four_record_file(tmp_path / "bad.nkdl", label2, logit2)
+        offset = 16 + 2 * (8 + 4 * 3)
+        with pytest.raises(FileFormatError, match=f"bad record 2 at offset {offset}: .*{message}"):
+            read_logit_cache(path)
+
+    @pytest.mark.parametrize("sample_id", [2**32, 2**40, -1])
+    def test_sample_id_outside_u32_is_coded(self, tmp_path, sample_id):
+        records = [LogitRecord(0, 0, np.zeros(3)), LogitRecord(sample_id, 0, np.zeros(3))]
+        path = tmp_path / "ids.nkdl"
+        with pytest.raises(ContractError, match="record 1 has sample_id"):
+            write_logit_cache(path, records)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
+    def test_logits_beyond_float32_rejected_before_writing(self, tmp_path, value):
+        records = [LogitRecord(0, 0, np.zeros(3)), LogitRecord(1, 0, np.array([0.0, value, 1.0]))]
+        path = tmp_path / "wide.nkdl"
+        with pytest.raises(NumericError, match="record 1 has logits outside the float32 range"):
+            write_logit_cache(path, records)
+        assert not path.exists()
+
+    def test_float32_max_still_writes(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        path = tmp_path / "edge.nkdl"
+        write_logit_cache(path, [LogitRecord(0, 0, np.array([top, -top]))])
+        np.testing.assert_array_equal(read_logit_cache(path).logits, [[top, -top]])
+
+    def test_read_returns_one_columnar_cache(self, tmp_path):
+        path = four_record_file(tmp_path / "ok.nkdl")
+        cache = read_logit_cache(path)
+        assert isinstance(cache, LogitCache)
+        np.testing.assert_array_equal(cache.sample_ids, np.arange(4))
+        assert cache.sample_ids.dtype == cache.labels.dtype == np.int64
+        assert cache.logits.dtype == np.float64 and cache.logits.shape == (4, 3)
+
+
+class TestNoPerRowObjects:
+    """The columnar cache path builds no LogitRecord for a valid 10k-row cache."""
+
+    def test_cache_pipeline_constructs_no_records(self, tmp_path, monkeypatch, capsys):
+        from normkd.cli import main
+        from normkd.experiment import analyze
+        from normkd.logitstats import summarize
+        from normkd.trainer import MlpSpec, cache_teacher_logits, init_mlp
+
+        built = []
+        original = LogitRecord.__post_init__
+
+        def counting(self):
+            built.append(1)
+            original(self)
+
+        monkeypatch.setattr(LogitRecord, "__post_init__", counting)
+        train_ds, _ = make_blobs(10, 8, 1250, 2.0, seed=0)
+        assert train_ds.n_samples == 10_000
+        paths = {}
+        for role, widths in (("teacher", (8, 16, 10)), ("student", (8, 4, 10))):
+            cache = cache_teacher_logits(init_mlp(MlpSpec(widths, init_seed=1)), train_ds)
+            paths[role] = tmp_path / f"{role}.nkdl"
+            write_logit_cache(paths[role], cache)
+        teacher = read_logit_cache(paths["teacher"])
+        student = read_logit_cache(paths["student"])
+        summarize(teacher)
+        analyze(teacher, student)
+        assert main(["eval", "--cache", str(paths["teacher"])]) == 0
+        assert "/10000)" in capsys.readouterr().out
+        assert built == []
+        # the per-row view still builds one, so the counter is live
+        assert teacher[0].sample_id == 0
+        assert built == [1]

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from normkd.errors import ConfigError, ContractError, DimensionError
+from normkd.errors import ConfigError, ContractError, DimensionError, NumericError
 from normkd.logitstats import (
     Fixed,
+    LogitCache,
     LogitRecord,
     MaxVal,
     MultiSet,
@@ -116,6 +117,61 @@ class TestLogitRecord:
     def test_non_finite_rejected(self):
         with pytest.raises(ContractError):
             LogitRecord(0, 0, np.array([np.nan, 1.0]))
+
+
+class TestLogitCache:
+    def make(self):
+        return LogitCache(
+            np.array([4, 5, 6]), np.array([0, 2, 1]), np.arange(9.0).reshape(3, 3)
+        )
+
+    def test_rows_slices_and_iteration(self):
+        cache = self.make()
+        assert len(cache) == 3 and cache.num_classes == 3
+        rec = cache[1]
+        assert isinstance(rec, LogitRecord)
+        assert (rec.sample_id, rec.label) == (5, 2)
+        np.testing.assert_array_equal(rec.logits, [3.0, 4.0, 5.0])
+        assert cache[-1].sample_id == 6
+        tail = cache[1:]
+        assert isinstance(tail, LogitCache)
+        np.testing.assert_array_equal(tail.sample_ids, [5, 6])
+        assert [r.label for r in cache] == [0, 2, 1]
+
+    def test_from_records_round_trip(self):
+        cache = self.make()
+        back = LogitCache.from_records(list(cache))
+        np.testing.assert_array_equal(back.sample_ids, cache.sample_ids)
+        np.testing.assert_array_equal(back.labels, cache.labels)
+        np.testing.assert_array_equal(back.logits, cache.logits)
+        assert LogitCache.from_records(cache) is cache
+        assert len(LogitCache.from_records([])) == 0
+
+    def test_ragged_records_rejected(self):
+        with pytest.raises(DimensionError, match="record 1 has 4 classes, expected 3"):
+            LogitCache.from_records([LogitRecord(0, 0, np.zeros(3)), LogitRecord(1, 0, np.zeros(4))])
+
+    @pytest.mark.parametrize(
+        "ids,labels,logits",
+        [
+            ([0, 1], [0, 0], np.zeros(2)),
+            ([0, 1], [0], np.zeros((2, 3))),
+            ([0], [0, 0], np.zeros((2, 3))),
+        ],
+    )
+    def test_shapes_checked(self, ids, labels, logits):
+        with pytest.raises(DimensionError):
+            LogitCache(np.array(ids), np.array(labels), logits)
+
+    def test_first_bad_row_raises_its_record_error(self):
+        logits = np.zeros((4, 3))
+        logits[3, 1] = np.inf
+        with pytest.raises(ContractError, match=r"label 3 outside \[0, 3\)") as info:
+            LogitCache(np.arange(4), np.array([0, 1, 3, 0]), logits)
+        assert info.value.row == 2
+        with pytest.raises(NumericError, match="non-finite") as info:
+            LogitCache(np.arange(4), np.array([0, 1, 2, 0]), logits)
+        assert info.value.row == 3
 
 
 class TestSummarize:
