@@ -18,6 +18,15 @@ All losses share these conventions:
   taped :class:`~normkd.numcore.Tensor`; teacher logits are always
   treated as constants.
 
+Every loss runs through one dispatch.  ``_softened`` turns a temperature
+rule into one side's log-probabilities and temperature: the global T for
+Fixed, the averaged prediction and the largest T for MultiSet, and the
+(N, 1) column of ``logitstats.row_temperatures`` for the per-sample
+rules.  ``_rule_kld`` applies it to the teacher, then to the student, and
+weights each sample's divergence by its squared teacher temperature.
+``kd_loss``, ``multi_temp_kld``, ``normkd_loss`` and ``distill_loss`` are
+thin wrappers over it.
+
 The per-sample losses floor each sample's statistic at ``epsilon`` before
 scaling, so no row divides by zero.  That makes a constant row soften to
 uniform, but not every degenerate row: under MaxVal a non-constant row
@@ -39,11 +48,11 @@ from .errors import ContractError, DimensionError, NumericError
 from .logitstats import (
     DEFAULT_EPSILON,
     Fixed,
-    MaxVal,
     MultiSet,
     NormStd,
-    Range,
     TemperatureRule,
+    row_temperatures,
+    temperature_for,
 )
 from .numcore import (
     Tensor,
@@ -56,12 +65,8 @@ from .numcore import (
     log,
     log_softmax_rows,
     log_softmax_values,
-    max_rows,
-    maximum,
     mean_all,
-    min_rows,
     multiply,
-    std_rows,
     subtract,
     sum_rows,
     value_of,
@@ -109,13 +114,11 @@ def norm_soften(
     """Soften with the sample's own scale: T = max(std(z), epsilon) * t_norm.
 
     Equivalent to softening the mean-centered logits, since a constant
-    shift cancels in the softmax.
+    shift cancels in the softmax.  ``t_norm`` and ``epsilon`` are checked
+    by :class:`NormStd`.
     """
-    from .logitstats import sample_std
-
     z = as_vector(logits, "logits")
-    t = max(sample_std(z, corrected), epsilon) * t_norm
-    return soften(z, t)
+    return soften(z, temperature_for(NormStd(t_norm, epsilon), z, corrected))
 
 
 def kl_divergence(p_teacher, p_student) -> float:
@@ -143,22 +146,12 @@ def kl_divergence(p_teacher, p_student) -> float:
 
 def multi_temp_prediction(logits, temps) -> np.ndarray:
     """Arithmetic mean of the predictions softened at each temperature."""
-    temps = _check_temps(temps)
+    temps = MultiSet(temps).temperatures
     z = as_vector(logits, "logits")
     acc = soften(z, temps[0])
     for t in temps[1:]:
         acc = acc + soften(z, t)
     return acc / float(len(temps))
-
-
-def _check_temps(temps) -> tuple[float, ...]:
-    temps = tuple(float(t) for t in temps)
-    if not temps:
-        raise ContractError("temperature set must be nonempty")
-    for t in temps:
-        if not t > 0.0:
-            raise ContractError(f"temperature must be positive, got {t}")
-    return temps
 
 
 def _check_pair(student_logits, teacher_logits) -> tuple[np.ndarray, np.ndarray]:
@@ -229,10 +222,40 @@ def _report(total, ce, kld, alpha, beta, weights, n) -> LossReport:
         kld_part=float(value_of(kld)),
         alpha=float(alpha),
         beta=float(beta),
-        per_sample_weight=np.asarray(weights, dtype=np.float64).reshape(-1),
+        per_sample_weight=np.full((n, 1), weights, dtype=np.float64).reshape(-1),
         batch_size=n,
         node=node,
     )
+
+
+def _softened(rule: TemperatureRule, logits, stat_src, corrected: bool):
+    """One side's log-probabilities under ``rule``, and its temperature.
+
+    The temperature is the rule's T for Fixed, the largest of the set for
+    MultiSet (which averages the predictions over the set), and the
+    per-sample column ``row_temperatures(rule, stat_src)`` otherwise.
+    """
+    if isinstance(rule, MultiSet):
+        return _log_mean_prediction(logits, rule.temperatures), max(rule.temperatures)
+    if isinstance(rule, Fixed):
+        t = rule.temperature
+    else:
+        t = row_temperatures(rule, stat_src, corrected)
+    return log_softmax_rows(divide(logits, t)), t
+
+
+def _rule_kld(rule: TemperatureRule, student_logits, z_t, corrected: bool, detach: bool):
+    """KL(teacher || student) under ``rule``, each sample weighted by T_t**2.
+
+    Returns the (taped, for a Tensor student) scalar and the weights: a
+    float for Fixed and MultiSet, an (N, 1) column for the per-sample
+    rules.  ``detach`` makes the student's statistic a constant.
+    """
+    lp_t, t_t = _softened(rule, z_t, z_t, corrected)
+    stat_src = value_of(student_logits) if detach else student_logits
+    lp_s, _ = _softened(rule, student_logits, stat_src, corrected)
+    weights = t_t * t_t
+    return _kld_reduction(np.exp(lp_t), lp_t, lp_s, weights), weights
 
 
 def kd_loss(
@@ -246,16 +269,7 @@ def kd_loss(
     """Fixed-temperature distillation: alpha*CE + beta*T^2*KL(teacher||student)."""
     if not temperature > 0.0:
         raise ContractError(f"temperature must be positive, got {temperature}")
-    z_s, z_t = _check_pair(student_logits, teacher_logits)
-    n = z_s.shape[0]
-    ce = cross_entropy(student_logits, labels)
-    lp_t = log_softmax_values(z_t / temperature)
-    p_t = np.exp(lp_t)
-    lp_s = log_softmax_rows(divide(student_logits, temperature))
-    comp = temperature * temperature
-    kld = _kld_reduction(p_t, lp_t, lp_s, comp)
-    total = add(multiply(ce, alpha), multiply(kld, beta))
-    return _report(total, ce, kld, alpha, beta, np.full(n, comp), n)
+    return distill_loss(Fixed(temperature), student_logits, teacher_logits, labels, alpha, beta)
 
 
 def multi_temp_kld(student_logits, teacher_logits, temps):
@@ -265,51 +279,10 @@ def multi_temp_kld(student_logits, teacher_logits, temps):
     Returns a float for plain-array students and a taped scalar Tensor
     when the student side is a Tensor.
     """
-    temps = _check_temps(temps)
-    z_s, z_t = _check_pair(student_logits, teacher_logits)
-    t_mul = max(temps)
-    lp_t = _log_mean_prediction(z_t, temps)
-    p_t = np.exp(lp_t)
-    lp_s = _log_mean_prediction(student_logits, temps)
-    kld = _kld_reduction(p_t, lp_t, lp_s, t_mul * t_mul)
+    rule = MultiSet(temps)
+    _, z_t = _check_pair(student_logits, teacher_logits)
+    kld, _ = _rule_kld(rule, student_logits, z_t, corrected=True, detach=False)
     return kld if isinstance(kld, Tensor) else float(kld)
-
-
-def _per_sample_stat(logits, rule: TemperatureRule, corrected: bool):
-    """The rule's per-sample scale statistic, as an (N, 1) column."""
-    if isinstance(rule, NormStd):
-        return std_rows(logits, corrected)
-    if isinstance(rule, MaxVal):
-        return max_rows(logits)
-    if isinstance(rule, Range):
-        return subtract(max_rows(logits), min_rows(logits))
-    raise ContractError(f"rule {rule!r} has no per-sample statistic")
-
-
-def _per_sample_kld(
-    student_logits,
-    z_t: np.ndarray,
-    rule: TemperatureRule,
-    corrected: bool,
-    detach_student_stat: bool,
-):
-    """Shared core of the per-sample-temperature losses.
-
-    Student temperatures are max(stat, eps)*scale with gradient flowing
-    through the statistic unless detached; teacher temperatures use the
-    same formula on the constant teacher logits, and their squares are
-    the per-sample compensation weights.
-    """
-    scale = rule.t_norm if isinstance(rule, NormStd) else rule.t_v
-    stat_src = value_of(student_logits) if detach_student_stat else student_logits
-    t_s = multiply(maximum(_per_sample_stat(stat_src, rule, corrected), rule.epsilon), scale)
-    t_t = np.maximum(value_of(_per_sample_stat(z_t, rule, corrected)), rule.epsilon) * scale
-    weights = t_t * t_t
-    lp_t = log_softmax_values(z_t / t_t)
-    p_t = np.exp(lp_t)
-    lp_s = log_softmax_rows(divide(student_logits, t_s))
-    kld = _kld_reduction(p_t, lp_t, lp_s, weights)
-    return kld, weights[:, 0]
 
 
 def normkd_loss(
@@ -330,9 +303,8 @@ def normkd_loss(
     if not t_norm > 0.0:
         raise ContractError(f"t_norm must be positive, got {t_norm}")
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    rule = NormStd(t_norm, epsilon)
-    kld, weights = _per_sample_kld(
-        student_logits, z_t, rule, corrected, detach_student_std
+    kld, weights = _rule_kld(
+        NormStd(t_norm, epsilon), student_logits, z_t, corrected, detach_student_std
     )
     return _report(kld, 0.0, kld, 0.0, 1.0, weights, z_s.shape[0])
 
@@ -348,28 +320,11 @@ def distill_loss(
     detach_student_stat: bool = False,
 ) -> LossReport:
     """Dispatch a temperature rule to its loss: alpha*CE + beta*KLD(rule)."""
-    if isinstance(rule, Fixed):
-        return kd_loss(
-            student_logits, teacher_logits, labels, rule.temperature, alpha, beta
-        )
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    n = z_s.shape[0]
     ce = cross_entropy(student_logits, labels)
-    if isinstance(rule, MultiSet):
-        temps = _check_temps(rule.temperatures)
-        t_mul = max(temps)
-        lp_t = _log_mean_prediction(z_t, temps)
-        lp_s = _log_mean_prediction(student_logits, temps)
-        kld = _kld_reduction(np.exp(lp_t), lp_t, lp_s, t_mul * t_mul)
-        weights = np.full(n, t_mul * t_mul)
-    elif isinstance(rule, (NormStd, MaxVal, Range)):
-        kld, weights = _per_sample_kld(
-            student_logits, z_t, rule, corrected, detach_student_stat
-        )
-    else:
-        raise ContractError(f"unknown temperature rule {rule!r}")
+    kld, weights = _rule_kld(rule, student_logits, z_t, corrected, detach_student_stat)
     total = add(multiply(ce, alpha), multiply(kld, beta))
-    return _report(total, ce, kld, alpha, beta, weights, n)
+    return _report(total, ce, kld, alpha, beta, weights, z_s.shape[0])
 
 
 def combine(terms):

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +61,7 @@ from .logitstats import (
     Range,
     TemperatureRule,
     parse_rule,
-    row_std,
+    row_temperatures,
     rule_label,
     summarize,
 )
@@ -348,6 +349,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     name, params_label = rule_label(cfg.rule)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
+        # validated before the teacher trains, so a bad recipe fails fast
+        spec = MlpSpec(cfg.student_layers, init_seed=seed)
+        student_cfg = _student_config(cfg, seed)
         seed_dir = cfg.output_dir / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         teacher_records = None
@@ -358,10 +362,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                 teacher_records, _, _ = _train_teacher_for_seed(
                     cfg, seed, train_ds, val_ds, seed_dir
                 )
-        spec = MlpSpec(cfg.student_layers, init_seed=seed)
-        params, history = train(
-            spec, _student_config(cfg, seed), train_ds, teacher_records, val_ds
-        )
+        params, history = train(spec, student_cfg, train_ds, teacher_records, val_ds)
         write_history_csv(seed_dir / "history.csv", history)
         write_logit_cache(seed_dir / "student.train.nkdl", cache_teacher_logits(params, train_ds))
         write_logit_cache(seed_dir / "student.val.nkdl", cache_teacher_logits(params, val_ds))
@@ -465,8 +466,7 @@ def analyze(
         }
 
     def _norm_probs(z):
-        temps = np.maximum(row_std(z, corrected), rule.epsilon) * rule.t_norm
-        return softmax_values(z / temps)
+        return softmax_values(z / row_temperatures(rule, z, corrected))
 
     z_t, z_s = teacher.logits, student.logits
     return AnalysisResult(
@@ -582,6 +582,8 @@ def gradient_check_suite(
     """
     if instances < 1:
         raise ConfigError(f"instances must be at least 1, got {instances}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be finite and positive, got {step}")
     if inject_fault is not None and inject_fault not in GRAD_CHECK_LOSSES:
         raise ConfigError(
             f"unknown loss {inject_fault!r}; choose from {', '.join(GRAD_CHECK_LOSSES)}"

@@ -31,7 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError
-from .numcore import as_vector, log_softmax_values
+from .numcore import (
+    as_vector,
+    log_softmax_values,
+    max_rows,
+    maximum,
+    min_rows,
+    multiply,
+    std_rows,
+    subtract,
+)
 
 DEFAULT_EPSILON = 1e-8
 HISTOGRAM_BINS = 50
@@ -213,14 +222,24 @@ def sample_std(logits, corrected: bool = True) -> float:
     return float(np.std(z, ddof=ddof))
 
 
-def row_std(matrix: np.ndarray, corrected: bool = True) -> np.ndarray:
-    """Per-row standard deviations of an (N, C) matrix as a (N, 1) column."""
-    ddof = 1 if corrected else 0
-    if matrix.shape[1] - ddof < 1:
-        raise ContractError(
-            f"row_std needs at least {ddof + 1} columns, got {matrix.shape[1]}"
-        )
-    return np.std(matrix, axis=1, ddof=ddof, keepdims=True)
+def row_temperatures(rule: TemperatureRule, logits, corrected: bool = True):
+    """Per-sample temperatures ``max(stat(z_i), epsilon) * scale`` as an (N, 1) column.
+
+    ``logits`` is an (N, C) matrix; the statistic is the row std
+    (NormStd), maximum (MaxVal) or maximum minus minimum (Range).  When
+    ``logits`` is a Tensor the result is taped, so gradient flows through
+    the statistic.  This is the one implementation of the per-sample
+    rules: the losses, ``temperature_for`` and ``analyze`` all use it.
+    """
+    if isinstance(rule, NormStd):
+        stat, scale = std_rows(logits, corrected), rule.t_norm
+    elif isinstance(rule, MaxVal):
+        stat, scale = max_rows(logits), rule.t_v
+    elif isinstance(rule, Range):
+        stat, scale = subtract(max_rows(logits), min_rows(logits)), rule.t_v
+    else:
+        raise ContractError(f"rule {rule!r} has no per-sample temperature")
+    return multiply(maximum(stat, rule.epsilon), scale)
 
 
 def temperature_for(
@@ -232,13 +251,7 @@ def temperature_for(
         return rule.temperature
     if isinstance(rule, MultiSet):
         return rule.temperatures
-    if isinstance(rule, NormStd):
-        return max(sample_std(z, corrected), rule.epsilon) * rule.t_norm
-    if isinstance(rule, MaxVal):
-        return max(float(z.max()), rule.epsilon) * rule.t_v
-    if isinstance(rule, Range):
-        return max(float(z.max() - z.min()), rule.epsilon) * rule.t_v
-    raise ContractError(f"unknown temperature rule {rule!r}")
+    return float(row_temperatures(rule, z[None, :], corrected)[0, 0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +282,7 @@ def summarize(
     if not len(cache):
         raise ContractError("summarize needs at least one record")
     z = cache.logits
-    sigma = row_std(z, corrected)[:, 0]
+    sigma = std_rows(z, corrected)[:, 0]
     log_p = log_softmax_values(z)
     counts, edges = np.histogram(sigma, bins=bins, range=(sigma.min(), sigma.max()))
     return LogitSummary(

@@ -437,7 +437,9 @@ def std_rows(x, corrected: bool = True):
         raise ContractError(f"std_rows needs at least {ddof + 1} columns, got {n}")
     mu = xd.mean(axis=1, keepdims=True)
     centered = xd - mu
-    out = np.sqrt((centered * centered).sum(axis=1, keepdims=True) / (n - ddof))
+    # only the backward rule reads ``centered``; untaped, square it in place as np.std does
+    squares = np.multiply(centered, centered, out=None if xt is not None else centered)
+    out = np.sqrt(squares.sum(axis=1, keepdims=True) / (n - ddof))
     if xt is None:
         return out
 
@@ -521,7 +523,7 @@ def grad_check(
     ``max_i |analytic_i - fd_i| / max(1e-12, |fd_i|)`` over all coordinates
     of ``point``.  Raises if ``f`` is non-finite at any probe point.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ContractError(f"grad_check step must be positive, got {step}")
     point = as_array(point, "point")
 

@@ -14,6 +14,7 @@ nothing, not even zero-valued graph nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,9 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_rate must be positive, got {self.lr_decay_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        for key in ("learning_rate", "weight_decay", "lr_decay_rate", "alpha", "beta"):
+            if not math.isfinite(getattr(self, key)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")
         object.__setattr__(self, "lr_decay_epochs", decay)
 
 

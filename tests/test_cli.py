@@ -88,6 +88,16 @@ class TestDistillCommand:
         cfg = write_config(tmp_path, extra="mystery = 1\n")
         assert main(["distill", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "line", ["weight_decay = nan", "alpha = nan", "beta = inf", "lr_decay_rate = inf"]
+    )
+    def test_non_finite_recipe_exits_2_before_training(self, tmp_path, capsys, line):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra=line + "\n")
+        assert main(["distill", "--config", str(cfg)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "seed0").exists()
+
     def test_cache_shape_mismatch_exits_4(self, tmp_path):
         gen_data(tmp_path)
         bad = [LogitRecord(i, 0, np.zeros(5)) for i in range(3)]
@@ -217,4 +227,11 @@ class TestGradCheckCommand:
         assert main(["grad-check", "--instances", instances]) == 2
         captured = capsys.readouterr()
         assert "instances must be at least 1" in captured.err
+        assert "ok" not in captured.out
+
+    @pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+    def test_bad_step_is_a_config_error(self, capsys, step):
+        assert main(["grad-check", "--instances", "1", "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert "step must be finite and positive" in captured.err
         assert "ok" not in captured.out

@@ -331,3 +331,8 @@ class TestGradientCheckSuite:
     def test_no_instances_rejected(self, instances):
         with pytest.raises(ConfigError, match="instances must be at least 1"):
             gradient_check_suite(instances=instances)
+
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ConfigError, match="step must be finite and positive"):
+            gradient_check_suite(instances=1, step=step)

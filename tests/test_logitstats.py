@@ -13,11 +13,13 @@ from normkd.logitstats import (
     NormStd,
     Range,
     parse_rule,
+    row_temperatures,
     rule_label,
     sample_std,
     summarize,
     temperature_for,
 )
+from normkd.numcore import Tape, Tensor
 from oracles import std_mp
 
 
@@ -107,6 +109,63 @@ class TestTemperatureRules:
         z = np.array([3.0, -1.0, 0.0])
         assert temperature_for(Range(1.0), z + 10.0) == temperature_for(Range(1.0), z)
         assert temperature_for(MaxVal(1.0), z + 10.0) != temperature_for(MaxVal(1.0), z)
+
+
+def _extreme_batches():
+    """(N, C) batches of the inputs the floor and the tie rules decide."""
+    rng = np.random.default_rng(5)
+    pair = np.array(
+        [[0.3, -1.2], [2.0, 2.0], [-0.5, -3.0], [0.0, -0.0], [1e-9, 0.0], [-7.0, 7.0]]
+    )
+    wide = np.array(
+        [
+            [4.0, 4.0, 4.0, 4.0, 4.0],  # constant
+            [3.0, 3.0, -1.0, 0.5, -1.0],  # tied maximum and tied minimum
+            [-2.0, -0.5, -9.0, -0.5, -3.0],  # maximum below zero
+            [0.0, -1.0, -2.0, 0.0, -4.0],  # maximum exactly zero, tied
+            [1.0, 1.0 + 1e-15, 1.0, 1.0, 1.0],  # spread far below epsilon
+        ]
+    )
+    f32 = (rng.normal(0.0, 1.0, (16, 7)) * 10.0 ** rng.uniform(-3, 3, (16, 1))).astype(
+        np.float32
+    )
+    extreme = np.array([[3.0e38, -3.0e38, 1.0], [1.4e-45, 0.0, -1.4e-45]], dtype=np.float32)
+    return [pair, wide, f32.astype(np.float64), extreme.astype(np.float64)]
+
+
+class TestRowTemperatures:
+    @pytest.mark.parametrize(
+        "rule, corrected",
+        [
+            (NormStd(2.0), True),
+            (NormStd(2.0), False),
+            (NormStd(0.5, 1e-3), True),
+            (MaxVal(1.5), True),
+            (MaxVal(2.0, 0.25), True),
+            (Range(0.7), True),
+            (Range(3.0, 1e-2), True),
+        ],
+    )
+    def test_rows_equal_temperature_for_and_tape_equals_plain(self, rule, corrected):
+        for z in _extreme_batches():
+            plain = row_temperatures(rule, z, corrected)
+            assert plain.shape == (z.shape[0], 1)
+            for row, t in zip(z, plain[:, 0]):
+                assert t == temperature_for(rule, row, corrected) > 0.0
+            taped = row_temperatures(rule, Tape().leaf(z), corrected)
+            assert isinstance(taped, Tensor)
+            assert taped.data.tobytes() == plain.tobytes()
+
+    def test_floor_on_degenerate_rows(self):
+        wide, eps = _extreme_batches()[1], 1e-8
+        assert row_temperatures(NormStd(2.0, eps), wide)[[0, 4], 0].tolist() == [eps * 2.0] * 2
+        assert row_temperatures(Range(2.0, eps), wide)[[0, 4], 0].tolist() == [eps * 2.0] * 2
+        assert row_temperatures(MaxVal(3.0, eps), wide)[[2, 3], 0].tolist() == [eps * 3.0] * 2
+
+    @pytest.mark.parametrize("rule", [Fixed(4.0), MultiSet((1.0, 2.0))])
+    def test_global_rules_rejected(self, rule):
+        with pytest.raises(ContractError, match="no per-sample temperature"):
+            row_temperatures(rule, np.zeros((2, 3)))
 
 
 class TestLogitRecord:

@@ -236,6 +236,10 @@ class TestGradCheck:
         with pytest.raises(ContractError):
             grad_check(sum_all, np.ones((2, 2)), step=0.0)
 
+    def test_rejects_nan_step(self):
+        with pytest.raises(ContractError, match="step must be positive"):
+            grad_check(sum_all, np.ones((2, 2)), step=float("nan"))
+
     def test_non_finite_probe_raises(self):
         def log_loss(t):
             return sum_all(log(t))

@@ -73,6 +73,14 @@ class TestTrainConfigValidation:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "key", ["learning_rate", "weight_decay", "lr_decay_rate", "alpha", "beta"]
+    )
+    def test_rejects_non_finite(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**{key: value})
+
 
 class TestTrain:
     def test_zero_epochs_returns_init(self):
