@@ -3,7 +3,14 @@
 Experiment config files are flat ``key = value`` text with ``#`` comments.
 Unknown keys are rejected and required keys must be present.  Relative
 paths resolve against the config file's directory.  The ``NORMKD_SEED``
-environment variable (comma-separated integers) overrides the seed list.
+environment variable (comma-separated integers) overrides the seed list;
+seeds must be distinct.
+
+The recipe keys are the fields of ``trainer.TrainConfig`` (all but
+``seed``): ``ExperimentConfig.student`` is parsed from them, and
+``ExperimentConfig.teacher`` is the student's recipe with alpha 1, beta
+0, no rule and the ``teacher_*`` overrides.  Both are validated when the
+config loads, before any dataset is read.
 
 Keys::
 
@@ -20,7 +27,8 @@ Keys::
     weight_decay=0.0005 lr_decay_epochs=75,90,105 lr_decay_rate=0.1
     alpha=0.1 beta=0.9
     teacher_epochs / teacher_lr_decay_epochs / teacher_weight_decay
-                                (default: same as student)
+                                (default: same as student; teacher_epochs
+                                without teacher_lr_decay_epochs: no decay)
     std_corrected=true          corrected (C-1) vs population std
     detach_student_stat=false   ablation: constant student statistic
 
@@ -43,7 +51,7 @@ import csv
 import io
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +67,6 @@ from .logitstats import (
     MaxVal,
     NormStd,
     Range,
-    TemperatureRule,
     parse_rule,
     row_temperatures,
     rule_label,
@@ -80,51 +87,26 @@ GRAD_CHECK_LOSSES = ("kd", "multi_temp", "normkd", "maxval", "range", "combine")
 GRAD_CHECK_TOLERANCE = 1e-4
 
 _REQUIRED_KEYS = ("train_data", "val_data", "student_layers", "seeds", "output_dir")
-_OPTIONAL_KEYS = (
-    "teacher_layers",
-    "teacher_cache",
-    "rule",
-    "epochs",
-    "batch_size",
-    "learning_rate",
-    "momentum",
-    "weight_decay",
-    "lr_decay_epochs",
-    "lr_decay_rate",
-    "alpha",
-    "beta",
-    "teacher_epochs",
-    "teacher_lr_decay_epochs",
-    "teacher_weight_decay",
-    "std_corrected",
-    "detach_student_stat",
-)
+# every TrainConfig field but the seed is a key; the teacher_* keys override the student's
+_RECIPE_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
+_TEACHER_KEYS = ("teacher_epochs", "teacher_lr_decay_epochs", "teacher_weight_decay")
+_OPTIONAL_KEYS = ("teacher_layers", "teacher_cache") + _RECIPE_KEYS + _TEACHER_KEYS
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Paths, layer widths and seeds, plus the student's and the teacher's
+    training recipes; runs give each recipe the seed of the run."""
+
     train_data: Path
     val_data: Path
     student_layers: tuple[int, ...]
     seeds: tuple[int, ...]
     output_dir: Path
-    rule: TemperatureRule | None = None
+    student: TrainConfig
+    teacher: TrainConfig
     teacher_layers: tuple[int, ...] | None = None
     teacher_cache: Path | None = None
-    epochs: int = 120
-    batch_size: int = 64
-    learning_rate: float = 0.05
-    momentum: float = 0.9
-    weight_decay: float = 5e-4
-    lr_decay_epochs: tuple[int, ...] = (75, 90, 105)
-    lr_decay_rate: float = 0.1
-    alpha: float = 0.1
-    beta: float = 0.9
-    teacher_epochs: int | None = None
-    teacher_lr_decay_epochs: tuple[int, ...] | None = None
-    teacher_weight_decay: float | None = None
-    std_corrected: bool = True
-    detach_student_stat: bool = False
 
 
 def _parse_int_tuple(text: str, key: str) -> tuple[int, ...]:
@@ -137,26 +119,25 @@ def _parse_int_tuple(text: str, key: str) -> tuple[int, ...]:
         raise ConfigError(f"{key}: expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_bool(text: str, key: str) -> bool:
-    norm = text.strip().lower()
-    if norm in ("true", "1", "yes"):
-        return True
-    if norm in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected true/false, got {text!r}")
-
-
-def _parse_number(raw: dict, key: str, default, convert):
-    if key not in raw:
-        return default
+def _parse_value(key: str, text: str, default):
+    """Convert a recipe value to the type of the TrainConfig default it overrides."""
+    if key == "rule":
+        return parse_rule(text) if text else None
+    if isinstance(default, tuple):
+        return _parse_int_tuple(text, key)
+    if isinstance(default, bool):
+        norm = text.strip().lower()
+        if norm in ("true", "1", "yes", "false", "0", "no"):
+            return norm in ("true", "1", "yes")
+        raise ConfigError(f"{key}: expected true/false, got {text!r}")
     try:
-        return convert(raw[key])
+        return type(default)(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: bad value {raw[key]!r}") from exc
+        raise ConfigError(f"{key}: bad value {text!r}") from exc
 
 
 def load_experiment_config(path: Path | str, env=None) -> ExperimentConfig:
-    """Parse and validate an experiment config file."""
+    """Parse and validate an experiment config file, both recipes included."""
     path = Path(path)
     env = os.environ if env is None else env
     try:
@@ -196,59 +177,39 @@ def load_experiment_config(path: Path | str, env=None) -> ExperimentConfig:
         raise ConfigError("seed list is empty")
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seeds must be nonnegative, got {seeds}")
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"seeds must be distinct, got {seeds}")
 
-    rule = parse_rule(raw["rule"]) if raw.get("rule") else None
+    recipe = {
+        key: _parse_value(key, raw[key], getattr(TrainConfig, key.removeprefix("teacher_")))
+        for key in _RECIPE_KEYS + _TEACHER_KEYS
+        if key in raw
+    }
+    teacher = {k.removeprefix("teacher_"): recipe.pop(k) for k in _TEACHER_KEYS if k in recipe}
+    # an epoch count without its own decay schedule runs without decay
+    for overrides in (recipe, teacher):
+        if "epochs" in overrides:
+            overrides.setdefault("lr_decay_epochs", ())
     teacher_layers = (
         _parse_int_tuple(raw["teacher_layers"], "teacher_layers")
         if "teacher_layers" in raw
         else None
     )
     teacher_cache = _path("teacher_cache") if "teacher_cache" in raw else None
-    if rule is not None and teacher_layers is None and teacher_cache is None:
+    if recipe.get("rule") is not None and teacher_layers is None and teacher_cache is None:
         raise ConfigError("rule given but neither teacher_layers nor teacher_cache is set")
 
-    epochs = _parse_number(raw, "epochs", 120, int)
-    if "lr_decay_epochs" in raw:
-        decay = _parse_int_tuple(raw["lr_decay_epochs"], "lr_decay_epochs")
-    elif "epochs" in raw:
-        decay = ()
-    else:
-        decay = (75, 90, 105)
-    teacher_epochs = _parse_number(raw, "teacher_epochs", None, int)
-    if "teacher_lr_decay_epochs" in raw:
-        teacher_decay = _parse_int_tuple(raw["teacher_lr_decay_epochs"], "teacher_lr_decay_epochs")
-    elif teacher_epochs is not None:
-        teacher_decay = ()
-    else:
-        teacher_decay = None
-
+    student = TrainConfig(**recipe)
     return ExperimentConfig(
         train_data=_path("train_data"),
         val_data=_path("val_data"),
         student_layers=_parse_int_tuple(raw["student_layers"], "student_layers"),
         seeds=seeds,
         output_dir=_path("output_dir"),
-        rule=rule,
+        student=student,
+        teacher=replace(student, alpha=1.0, beta=0.0, rule=None, **teacher),
         teacher_layers=teacher_layers,
         teacher_cache=teacher_cache,
-        epochs=epochs,
-        batch_size=_parse_number(raw, "batch_size", 64, int),
-        learning_rate=_parse_number(raw, "learning_rate", 0.05, float),
-        momentum=_parse_number(raw, "momentum", 0.9, float),
-        weight_decay=_parse_number(raw, "weight_decay", 5e-4, float),
-        lr_decay_epochs=decay,
-        lr_decay_rate=_parse_number(raw, "lr_decay_rate", 0.1, float),
-        alpha=_parse_number(raw, "alpha", 0.1, float),
-        beta=_parse_number(raw, "beta", 0.9, float),
-        teacher_epochs=teacher_epochs,
-        teacher_lr_decay_epochs=teacher_decay,
-        teacher_weight_decay=_parse_number(raw, "teacher_weight_decay", None, float),
-        std_corrected=_parse_bool(raw["std_corrected"], "std_corrected")
-        if "std_corrected" in raw
-        else True,
-        detach_student_stat=_parse_bool(raw["detach_student_stat"], "detach_student_stat")
-        if "detach_student_stat" in raw
-        else False,
     )
 
 
@@ -272,52 +233,11 @@ def write_summary_csv(path: Path | str, rows) -> None:
     _write_csv(Path(path), ("seed", "rule", "params", "top1"), rows)
 
 
-def _student_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay,
-        lr_decay_epochs=cfg.lr_decay_epochs,
-        lr_decay_rate=cfg.lr_decay_rate,
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        rule=cfg.rule,
-        seed=seed,
-        std_corrected=cfg.std_corrected,
-        detach_student_stat=cfg.detach_student_stat,
-    )
-
-
-def _teacher_config(cfg: ExperimentConfig, seed: int) -> TrainConfig:
-    epochs = cfg.teacher_epochs if cfg.teacher_epochs is not None else cfg.epochs
-    decay = (
-        cfg.teacher_lr_decay_epochs
-        if cfg.teacher_lr_decay_epochs is not None
-        else cfg.lr_decay_epochs
-    )
-    wd = cfg.teacher_weight_decay if cfg.teacher_weight_decay is not None else cfg.weight_decay
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=cfg.batch_size,
-        learning_rate=cfg.learning_rate,
-        momentum=cfg.momentum,
-        weight_decay=wd,
-        lr_decay_epochs=decay,
-        lr_decay_rate=cfg.lr_decay_rate,
-        alpha=1.0,
-        beta=0.0,
-        rule=None,
-        seed=seed,
-    )
-
-
 def _train_teacher_for_seed(
     cfg: ExperimentConfig, seed: int, train_ds: Dataset, val_ds: Dataset, seed_dir: Path
 ) -> tuple[LogitCache, TrainHistory, float]:
     spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
-    params, history = train(spec, _teacher_config(cfg, seed), train_ds, None, val_ds)
+    params, history = train(spec, replace(cfg.teacher, seed=seed), train_ds, None, val_ds)
     write_logit_cache(seed_dir / "teacher.train.nkdl", cache_teacher_logits(params, train_ds))
     write_logit_cache(seed_dir / "teacher.val.nkdl", cache_teacher_logits(params, val_ds))
     # distill from the serialized float32 values, not the in-memory float64 ones
@@ -334,11 +254,16 @@ class ExperimentResult:
     std_top1: float
 
 
-def _aggregate(rows: list[tuple[str, str, str, str]]) -> tuple[float, float]:
+def _write_summary(cfg: ExperimentConfig, name: str, rows: list) -> ExperimentResult:
+    """Append the ``mean±std`` aggregate row to the per-seed rows and write them."""
     top1s = np.array([float(r[3]) for r in rows])
     mean = float(top1s.mean())
     std = float(top1s.std(ddof=1)) if top1s.size > 1 else 0.0
-    return mean, std
+    # every row names the same rule, so the aggregate repeats the first row's
+    all_rows = rows + [("aggregate", *rows[0][1:3], f"{mean!r}±{std!r}")]
+    summary_path = cfg.output_dir / name
+    write_summary_csv(summary_path, all_rows)
+    return ExperimentResult(cfg.output_dir, summary_path, tuple(all_rows), mean, std)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -346,32 +271,29 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     train_ds = read_dataset(cfg.train_data)
     val_ds = read_dataset(cfg.val_data)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    name, params_label = rule_label(cfg.rule)
+    name, params_label = rule_label(cfg.student.rule)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
-        # validated before the teacher trains, so a bad recipe fails fast
+        # the widths are checked before the teacher trains, so a bad student fails fast
         spec = MlpSpec(cfg.student_layers, init_seed=seed)
-        student_cfg = _student_config(cfg, seed)
         seed_dir = cfg.output_dir / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         teacher_records = None
-        if cfg.rule is not None:
+        if cfg.student.rule is not None:
             if cfg.teacher_cache is not None:
                 teacher_records = read_logit_cache(cfg.teacher_cache)
             else:
                 teacher_records, _, _ = _train_teacher_for_seed(
                     cfg, seed, train_ds, val_ds, seed_dir
                 )
-        params, history = train(spec, student_cfg, train_ds, teacher_records, val_ds)
+        params, history = train(
+            spec, replace(cfg.student, seed=seed), train_ds, teacher_records, val_ds
+        )
         write_history_csv(seed_dir / "history.csv", history)
         write_logit_cache(seed_dir / "student.train.nkdl", cache_teacher_logits(params, train_ds))
         write_logit_cache(seed_dir / "student.val.nkdl", cache_teacher_logits(params, val_ds))
         rows.append((str(seed), name, params_label, repr(evaluate(params, val_ds))))
-    mean, std = _aggregate(rows)
-    all_rows = rows + [("aggregate", name, params_label, f"{mean!r}±{std!r}")]
-    summary_path = cfg.output_dir / "summary.csv"
-    write_summary_csv(summary_path, all_rows)
-    return ExperimentResult(cfg.output_dir, summary_path, tuple(all_rows), mean, std)
+    return _write_summary(cfg, "summary.csv", rows)
 
 
 def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
@@ -388,11 +310,7 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
         _, history, top1 = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
         write_history_csv(seed_dir / "teacher_history.csv", history)
         rows.append((str(seed), "none", "", repr(top1)))
-    mean, std = _aggregate(rows)
-    all_rows = rows + [("aggregate", "none", "", f"{mean!r}±{std!r}")]
-    summary_path = cfg.output_dir / "teacher_summary.csv"
-    write_summary_csv(summary_path, all_rows)
-    return ExperimentResult(cfg.output_dir, summary_path, tuple(all_rows), mean, std)
+    return _write_summary(cfg, "teacher_summary.csv", rows)
 
 
 # ---------------------------------------------------------------------------

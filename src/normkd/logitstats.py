@@ -211,15 +211,11 @@ def sample_std(logits, corrected: bool = True) -> float:
 
     Defaults to the corrected (divide by C-1) estimator, the default of
     the tensor-framework ``std`` call this mirrors; pass
-    ``corrected=False`` for the population form.
+    ``corrected=False`` for the population form.  It is ``std_rows`` on a
+    one-row matrix, so it equals ``summarize``'s sigma bit for bit.
     """
     z = as_vector(logits, "logits")
-    ddof = 1 if corrected else 0
-    if z.shape[0] - ddof < 1:
-        raise ContractError(
-            f"sample_std needs at least {ddof + 1} entries, got {z.shape[0]}"
-        )
-    return float(np.std(z, ddof=ddof))
+    return float(std_rows(z[None, :], corrected)[0, 0])
 
 
 def row_temperatures(rule: TemperatureRule, logits, corrected: bool = True):

@@ -126,6 +126,14 @@ class TestTrainTeacherCommand:
         records = read_logit_cache(tmp_path / "out" / "seed0" / "teacher.train.nkdl")
         assert len(records) == 24
 
+    def test_bad_student_recipe_exits_2_before_training(self, tmp_path, capsys):
+        # the student recipe is validated at load even though no student trains
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra="weight_decay = nan\nteacher_weight_decay = 0.01\n")
+        assert main(["train-teacher", "--config", str(cfg)]) == 2
+        assert "weight_decay must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestEvalCommand:
     def test_accuracy_from_cache(self, tmp_path, capsys):

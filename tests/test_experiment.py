@@ -1,6 +1,7 @@
 """Config parsing, orchestrated runs, analysis, and the gradient audit."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from normkd.experiment import (
 )
 from normkd.logitcache import write_logit_cache
 from normkd.logitstats import Fixed, LogitCache, LogitRecord, sample_std
+from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, train
 
 
 BASE_CONFIG = """
@@ -54,11 +56,11 @@ class TestConfigParsing:
         write_demo_inputs(tmp_path)
         cfg = load_experiment_config(write_config(tmp_path), env={})
         assert cfg.train_data == tmp_path / "blobs.train.txt"
-        assert cfg.rule == Fixed(4.0)
+        assert cfg.student.rule == Fixed(4.0)
         assert cfg.seeds == (0, 1)
-        assert cfg.epochs == 3
-        assert cfg.lr_decay_epochs == ()
-        assert cfg.momentum == 0.9
+        assert cfg.student.epochs == 3
+        assert cfg.student.lr_decay_epochs == ()
+        assert cfg.student.momentum == 0.9
 
     def test_unknown_key_rejected(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG + "bogus = 1\n")
@@ -83,7 +85,7 @@ class TestConfigParsing:
     def test_no_rule_is_plain_ce_baseline(self, tmp_path):
         text = BASE_CONFIG.replace("rule = fixed:4\n", "")
         cfg = load_experiment_config(write_config(tmp_path, text), env={})
-        assert cfg.rule is None
+        assert cfg.student.rule is None
 
     def test_seed_env_override(self, tmp_path):
         path = write_config(tmp_path)
@@ -93,8 +95,42 @@ class TestConfigParsing:
     def test_default_schedule_only_with_default_epochs(self, tmp_path):
         text = BASE_CONFIG.replace("epochs = 3\n", "")
         cfg = load_experiment_config(write_config(tmp_path, text), env={})
-        assert cfg.epochs == 120
-        assert cfg.lr_decay_epochs == (75, 90, 105)
+        assert cfg.student.epochs == 120
+        assert cfg.student.lr_decay_epochs == (75, 90, 105)
+
+    def test_repeated_seeds_rejected(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 1,1,2"))
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            load_experiment_config(path, env={})
+
+    def test_repeated_env_seeds_rejected(self, tmp_path):
+        path = write_config(tmp_path)
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            load_experiment_config(path, env={"NORMKD_SEED": "5,6,5"})
+
+    def test_teacher_recipe_derived_from_student(self, tmp_path):
+        cfg = load_experiment_config(write_config(tmp_path), env={})
+        assert cfg.teacher == replace(cfg.student, alpha=1.0, beta=0.0, rule=None)
+        text = BASE_CONFIG + "teacher_epochs = 5\nteacher_weight_decay = 0.01\n"
+        cfg = load_experiment_config(write_config(tmp_path, text), env={})
+        assert cfg.teacher == replace(
+            cfg.student, alpha=1.0, beta=0.0, rule=None, epochs=5, weight_decay=0.01
+        )
+        assert cfg.teacher.lr_decay_epochs == ()
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            "weight_decay = nan\nteacher_weight_decay = 0.01\n",
+            "teacher_lr_decay_epochs = 9\n",
+            "teacher_weight_decay = -1\n",
+        ],
+    )
+    def test_both_recipes_validated_at_load(self, tmp_path, extra):
+        # no dataset exists: the recipe fails before anything is read
+        path = write_config(tmp_path, BASE_CONFIG + extra)
+        with pytest.raises(ConfigError):
+            load_experiment_config(path, env={})
 
 
 class TestRunExperiment:
@@ -144,7 +180,7 @@ class TestRunExperiment:
             reader = csv.reader(fh)
             assert next(reader) == ["epoch", "split", "ce", "kld", "total", "top1"]
             rows = list(reader)
-        assert len(rows) == 2 * cfg.epochs
+        assert len(rows) == 2 * cfg.student.epochs
         assert {r[1] for r in rows} == {"train", "val"}
 
     def test_plain_ce_baseline_run(self, tmp_path):
@@ -183,6 +219,44 @@ class TestRunExperiment:
         assert result.summary_path.name == "teacher_summary.csv"
         assert (tmp_path / "out" / "seed0" / "teacher.train.nkdl").exists()
         assert (tmp_path / "out" / "seed0" / "teacher_history.csv").exists()
+
+
+class TestTeacherRecipe:
+    """The teacher_* keys override the student's schedule as documented."""
+
+    STUDENT = "epochs = 6\nlr_decay_epochs = 2,4\n"
+
+    @pytest.mark.parametrize(
+        "extra, epochs, decay, weight_decay",
+        [
+            ("teacher_epochs = 5\n", 5, (), 5e-4),
+            ("teacher_epochs = 5\nteacher_lr_decay_epochs = 3\n", 5, (3,), 5e-4),
+            ("teacher_weight_decay = 0.01\n", 6, (2, 4), 0.01),
+            ("", 6, (2, 4), 5e-4),
+        ],
+    )
+    def test_teacher_cache_matches_hand_built_recipe(
+        self, tmp_path, extra, epochs, decay, weight_decay
+    ):
+        train_ds, val_ds = write_demo_inputs(tmp_path)
+        text = BASE_CONFIG.replace("seeds = 0,1", "seeds = 1").replace("epochs = 3\n", "")
+        run_teacher_training(
+            load_experiment_config(write_config(tmp_path, text + self.STUDENT + extra), env={})
+        )
+        recipe = TrainConfig(
+            epochs=epochs,
+            batch_size=16,
+            weight_decay=weight_decay,
+            lr_decay_epochs=decay,
+            alpha=1.0,
+            beta=0.0,
+            seed=1,
+        )
+        params, _ = train(MlpSpec((4, 12, 3), init_seed=1), recipe, train_ds, None, val_ds)
+        for split, ds in (("train", train_ds), ("val", val_ds)):
+            write_logit_cache(tmp_path / f"hand.{split}.nkdl", cache_teacher_logits(params, ds))
+            got = (tmp_path / "out" / "seed1" / f"teacher.{split}.nkdl").read_bytes()
+            assert got == (tmp_path / f"hand.{split}.nkdl").read_bytes()
 
 
 def fake_records(rng, n, c, label_count=None):
