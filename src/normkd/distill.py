@@ -267,8 +267,6 @@ def kd_loss(
     beta: float = DEFAULT_BETA,
 ) -> LossReport:
     """Fixed-temperature distillation: alpha*CE + beta*T^2*KL(teacher||student)."""
-    if not temperature > 0.0:
-        raise ContractError(f"temperature must be positive, got {temperature}")
     return distill_loss(Fixed(temperature), student_logits, teacher_logits, labels, alpha, beta)
 
 
@@ -300,12 +298,9 @@ def normkd_loss(
     squared teacher temperature.  The report carries only the KLD fields:
     ce_part is 0 and total equals kld_part.
     """
-    if not t_norm > 0.0:
-        raise ContractError(f"t_norm must be positive, got {t_norm}")
+    rule = NormStd(t_norm, epsilon)
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    kld, weights = _rule_kld(
-        NormStd(t_norm, epsilon), student_logits, z_t, corrected, detach_student_std
-    )
+    kld, weights = _rule_kld(rule, student_logits, z_t, corrected, detach_student_std)
     return _report(kld, 0.0, kld, 0.0, 1.0, weights, z_s.shape[0])
 
 

@@ -272,20 +272,17 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     val_ds = read_dataset(cfg.val_data)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     name, params_label = rule_label(cfg.student.rule)
+    # one cache serves every seed, so it is read (and a bad one fails) once, up front
+    cached = cfg.teacher_cache is not None and cfg.student.rule is not None
+    teacher_records = read_logit_cache(cfg.teacher_cache) if cached else None
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         # the widths are checked before the teacher trains, so a bad student fails fast
         spec = MlpSpec(cfg.student_layers, init_seed=seed)
         seed_dir = cfg.output_dir / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
-        teacher_records = None
-        if cfg.student.rule is not None:
-            if cfg.teacher_cache is not None:
-                teacher_records = read_logit_cache(cfg.teacher_cache)
-            else:
-                teacher_records, _, _ = _train_teacher_for_seed(
-                    cfg, seed, train_ds, val_ds, seed_dir
-                )
+        if cfg.student.rule is not None and not cached:
+            teacher_records, _, _ = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
         params, history = train(
             spec, replace(cfg.student, seed=seed), train_ds, teacher_records, val_ds
         )

@@ -7,6 +7,13 @@ arguments are plain values the same numpy computation runs untaped and the
 raw array comes back.  Loss and model code is therefore written once and
 works both for training (gradients needed) and for evaluation.
 
+A primitive is a forward value plus a backward rule ``g -> (grad, ...)``,
+one gradient per taped parent, recorded by ``_binary`` (two broadcasting
+operands), ``_unary`` (one operand) or ``_pick`` (one entry per row).  A
+rule reads only arrays the forward made or received, and none of them is
+mutated after recording, so a rule may derive a mask or ``exp(out)`` at
+backward time and get the bits it would have got in the forward.
+
 Conventions that matter for reproducibility:
 
 * all values are float64; inputs are validated/coerced at the boundary;
@@ -23,6 +30,7 @@ threads; finished values (numpy arrays) are safe to read concurrently.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,76 +210,63 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
-def _binary(x, y, forward, vjp_maker):
+def _binary(x, y, forward, grad_x, grad_y):
+    """Record ``forward(xd, yd)``; each taped operand's gradient is
+    ``grad_*(g, xd, yd)`` reduced back to that operand's shape."""
     xd, xt = _split(x)
     yd, yt = _split(y)
     out = forward(xd, yd)
     tape = _tape_of(xt, yt)
     if tape is None:
         return out
-    vjp = vjp_maker(xd, yd, out, xt is not None, yt is not None)
-    parents = tuple(t for t in (xt, yt) if t is not None)
-    return tape._record(out, parents, vjp)
+    if yt is None:
+        return tape._record(out, (xt,), lambda g: (_unbroadcast(grad_x(g, xd, yd), xd.shape),))
+    if xt is None:
+        return tape._record(out, (yt,), lambda g: (_unbroadcast(grad_y(g, xd, yd), yd.shape),))
+
+    def vjp(g):
+        return (
+            _unbroadcast(grad_x(g, xd, yd), xd.shape),
+            _unbroadcast(grad_y(g, xd, yd), yd.shape),
+        )
+
+    return tape._record(out, (xt, yt), vjp)
+
+
+def _unary(xt: Tensor | None, out: Array, vjp):
+    """``out`` itself when untaped, else ``out`` recorded with parent ``xt``."""
+    if xt is None:
+        return out
+    return xt.tape._record(out, (xt,), vjp)
+
+
+def _pick(xd: Array, xt: Tensor | None, col: Array):
+    """One entry per row, ``xd[n, col[n, 0]]``; gradient scatters back to it."""
+
+    def vjp(g):
+        gx = np.zeros_like(xd)
+        np.put_along_axis(gx, col, g, axis=1)
+        return (gx,)
+
+    return _unary(xt, np.take_along_axis(xd, col, axis=1), vjp)
 
 
 def add(x, y):
-    def vjp_maker(xd, yd, out, has_x, has_y):
-        def vjp(g):
-            grads = []
-            if has_x:
-                grads.append(_unbroadcast(g, xd.shape))
-            if has_y:
-                grads.append(_unbroadcast(g, yd.shape))
-            return tuple(grads)
-
-        return vjp
-
-    return _binary(x, y, lambda a, b: a + b, vjp_maker)
+    return _binary(x, y, operator.add, lambda g, xd, yd: g, lambda g, xd, yd: g)
 
 
 def subtract(x, y):
-    def vjp_maker(xd, yd, out, has_x, has_y):
-        def vjp(g):
-            grads = []
-            if has_x:
-                grads.append(_unbroadcast(g, xd.shape))
-            if has_y:
-                grads.append(_unbroadcast(-g, yd.shape))
-            return tuple(grads)
-
-        return vjp
-
-    return _binary(x, y, lambda a, b: a - b, vjp_maker)
+    return _binary(x, y, operator.sub, lambda g, xd, yd: g, lambda g, xd, yd: -g)
 
 
 def multiply(x, y):
-    def vjp_maker(xd, yd, out, has_x, has_y):
-        def vjp(g):
-            grads = []
-            if has_x:
-                grads.append(_unbroadcast(g * yd, xd.shape))
-            if has_y:
-                grads.append(_unbroadcast(g * xd, yd.shape))
-            return tuple(grads)
-
-        return vjp
-
-    return _binary(x, y, lambda a, b: a * b, vjp_maker)
+    return _binary(x, y, operator.mul, lambda g, xd, yd: g * yd, lambda g, xd, yd: g * xd)
 
 
 def divide(x, y):
-    def vjp_maker(xd, yd, out, has_x, has_y):
-        def vjp(g):
-            grads = []
-            if has_x:
-                grads.append(_unbroadcast(g / yd, xd.shape))
-            if has_y:
-                grads.append(_unbroadcast(-g * xd / (yd * yd), yd.shape))
-            return tuple(grads)
-
-        return vjp
-
-    return _binary(x, y, lambda a, b: a / b, vjp_maker)
+    return _binary(
+        x, y, operator.truediv, lambda g, xd, yd: g / yd, lambda g, xd, yd: -g * xd / (yd * yd)
+    )
 
 
 def affine(x, weight, bias):
@@ -315,39 +310,18 @@ def affine(x, weight, bias):
 
 def relu(x):
     xd, xt = _split(x)
-    out = np.maximum(xd, 0.0)
-    if xt is None:
-        return out
-    mask = xd > 0.0
-
-    def vjp(g):
-        return (g * mask,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, np.maximum(xd, 0.0), lambda g: (g * (xd > 0.0),))
 
 
 def exp(x):
     xd, xt = _split(x)
     out = np.exp(xd)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        return (g * out,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, out, lambda g: (g * out,))
 
 
 def log(x):
     xd, xt = _split(x)
-    out = np.log(xd)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        return (g / xd,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, np.log(xd), lambda g: (g / xd,))
 
 
 def maximum(x, floor: float):
@@ -357,67 +331,36 @@ def maximum(x, floor: float):
     contributing to the gradient once it is clamped.
     """
     xd, xt = _split(x)
-    out = np.maximum(xd, floor)
-    if xt is None:
-        return out
-    mask = xd > floor
-
-    def vjp(g):
-        return (g * mask,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, np.maximum(xd, floor), lambda g: (g * (xd > floor),))
 
 
 def sum_all(x):
     xd, xt = _split(x)
-    out = np.asarray(xd.sum())
-    if xt is None:
-        return out
-
-    def vjp(g):
-        return (np.broadcast_to(g, xd.shape).copy(),)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, np.asarray(xd.sum()), lambda g: (np.broadcast_to(g, xd.shape).copy(),))
 
 
 def mean_all(x):
     xd, xt = _split(x)
-    out = np.asarray(xd.mean())
-    if xt is None:
-        return out
-    scale = 1.0 / xd.size
-
-    def vjp(g):
-        return (np.broadcast_to(g * scale, xd.shape).copy(),)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(
+        xt,
+        np.asarray(xd.mean()),
+        lambda g: (np.broadcast_to(g * (1.0 / xd.size), xd.shape).copy(),),
+    )
 
 
 def sum_rows(x):
     """Row sums of a matrix, kept as a (N, 1) column."""
     xd, xt = _split(x)
-    out = xd.sum(axis=1, keepdims=True)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        return (np.broadcast_to(g, xd.shape).copy(),)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(
+        xt, xd.sum(axis=1, keepdims=True), lambda g: (np.broadcast_to(g, xd.shape).copy(),)
+    )
 
 
 def log_softmax_rows(x):
     """Row-wise log-softmax of a matrix, stabilized by max subtraction."""
     xd, xt = _split(x)
     out = log_softmax_values(xd)
-    if xt is None:
-        return out
-    probs = np.exp(out)
-
-    def vjp(g):
-        return (g - probs * g.sum(axis=1, keepdims=True),)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, out, lambda g: (g - np.exp(out) * g.sum(axis=1, keepdims=True),))
 
 
 def std_rows(x, corrected: bool = True):
@@ -440,46 +383,24 @@ def std_rows(x, corrected: bool = True):
     # only the backward rule reads ``centered``; untaped, square it in place as np.std does
     squares = np.multiply(centered, centered, out=None if xt is not None else centered)
     out = np.sqrt(squares.sum(axis=1, keepdims=True) / (n - ddof))
-    if xt is None:
-        return out
 
     def vjp(g):
         denom = (n - ddof) * out
         coef = np.where(denom > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
         return (centered * coef,)
 
-    return xt.tape._record(out, (xt,), vjp)
+    return _unary(xt, out, vjp)
 
 
 def max_rows(x):
     """Per-row maximum as a (N, 1) column; gradient to the first argmax."""
     xd, xt = _split(x)
-    idx = xd.argmax(axis=1)[:, None]
-    out = np.take_along_axis(xd, idx, axis=1)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        np.put_along_axis(gx, idx, g, axis=1)
-        return (gx,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _pick(xd, xt, xd.argmax(axis=1)[:, None])
 
 
 def min_rows(x):
     xd, xt = _split(x)
-    idx = xd.argmin(axis=1)[:, None]
-    out = np.take_along_axis(xd, idx, axis=1)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        np.put_along_axis(gx, idx, g, axis=1)
-        return (gx,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _pick(xd, xt, xd.argmin(axis=1)[:, None])
 
 
 def gather_rows(x, indices):
@@ -494,17 +415,7 @@ def gather_rows(x, indices):
         raise ContractError(
             f"gather_rows: index out of range [0, {xd.shape[1]}) in {idx.tolist()}"
         )
-    col = idx[:, None]
-    out = np.take_along_axis(xd, col, axis=1)
-    if xt is None:
-        return out
-
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        np.put_along_axis(gx, col, g, axis=1)
-        return (gx,)
-
-    return xt.tape._record(out, (xt,), vjp)
+    return _pick(xd, xt, idx[:, None])
 
 
 def value_of(x) -> Array:

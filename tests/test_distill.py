@@ -311,6 +311,23 @@ class TestNormKdLoss:
         assert np.max(np.abs(grad_of(False) - grad_of(True))) > 1e-8
 
 
+class TestRuleParameterChecks:
+    """The wrappers leave parameter checks to the rule, ahead of any shape check."""
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize(
+        "name,loss",
+        [
+            ("temperature", lambda z_s, z_t, v: kd_loss(z_s, z_t, [0, 1], v)),
+            ("t_norm", lambda z_s, z_t, v: normkd_loss(z_s, z_t, t_norm=v)),
+        ],
+        ids=["kd_loss", "normkd_loss"],
+    )
+    def test_non_positive_parameter_rejected_before_shapes(self, name, loss, value):
+        with pytest.raises(ContractError, match=f"^{name} must be strictly positive"):
+            loss(np.zeros((2, 3)), np.zeros((2, 4)), value)
+
+
 class TestDistillLossDispatch:
     def test_fixed_reproduces_kd_loss_bit_for_bit(self):
         rng = np.random.default_rng(28)

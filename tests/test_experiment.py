@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from normkd.datasets import make_blobs, write_dataset
-from normkd.errors import ConfigError, ContractError
+from normkd.errors import ConfigError, ContractError, FileFormatError
 from normkd.experiment import (
     GRAD_CHECK_LOSSES,
     GRAD_CHECK_TOLERANCE,
@@ -19,9 +19,10 @@ from normkd.experiment import (
     run_teacher_training,
     write_analysis,
 )
-from normkd.logitcache import write_logit_cache
+from normkd import experiment
+from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import Fixed, LogitCache, LogitRecord, sample_std
-from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, train
+from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, init_mlp, train
 
 
 BASE_CONFIG = """
@@ -204,6 +205,27 @@ class TestRunExperiment:
         result = run_experiment(cfg)
         assert result.summary_path.exists()
         assert not (tmp_path / "out" / "seed0" / "teacher.train.nkdl").exists()
+
+    def test_teacher_cache_read_once_per_run(self, tmp_path, monkeypatch):
+        train_ds, _ = write_demo_inputs(tmp_path)
+        teacher = init_mlp(MlpSpec((4, 12, 3), init_seed=0))
+        write_logit_cache(tmp_path / "teacher.nkdl", cache_teacher_logits(teacher, train_ds))
+        text = BASE_CONFIG.replace("teacher_layers = 4,12,3", "teacher_cache = teacher.nkdl")
+        calls = []
+        monkeypatch.setattr(
+            experiment, "read_logit_cache", lambda path: calls.append(path) or read_logit_cache(path)
+        )
+        result = run_experiment(load_experiment_config(write_config(tmp_path, text), env={}))
+        assert len(result.rows) == 3  # two seeds and the aggregate
+        assert calls == [tmp_path / "teacher.nkdl"]
+
+    def test_bad_teacher_cache_fails_before_any_seed_directory(self, tmp_path):
+        write_demo_inputs(tmp_path)
+        (tmp_path / "teacher.nkdl").write_bytes(b"junk")
+        text = BASE_CONFIG.replace("teacher_layers = 4,12,3", "teacher_cache = teacher.nkdl")
+        with pytest.raises(FileFormatError, match="truncated header"):
+            run_experiment(load_experiment_config(write_config(tmp_path, text), env={}))
+        assert not (tmp_path / "out" / "seed0").exists()
 
     def test_aggregate_mean_matches_recomputation(self, tmp_path):
         write_demo_inputs(tmp_path)

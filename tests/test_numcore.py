@@ -8,7 +8,10 @@ import pytest
 from normkd.errors import ContractError, DimensionError, NumericError
 from normkd.numcore import (
     Tape,
+    Tensor,
+    add,
     affine,
+    divide,
     exp,
     gather_rows,
     grad_check,
@@ -210,6 +213,98 @@ class TestPrimitiveGradients:
         tape.backward(sum_all(std_rows(t)))
         np.testing.assert_array_equal(t.grad[0], np.zeros(3))
         assert np.all(np.isfinite(t.grad))
+
+
+def _contract_cases():
+    """(id, function, arguments, positions of the taped arguments) per primitive."""
+    rng = np.random.default_rng(43)
+    x = rng.normal(0.0, 1.5, size=(4, 5))
+    x[0] = 0.7  # constant row: std 0, every entry ties for max and min
+    x[1, 1:3] = x[1].max() + 1.0  # tied row maximum
+    x[2, 0] = 0.0  # relu subgradient point
+    w, b = rng.normal(size=(5, 3)), rng.normal(size=3)
+    idx = np.array([4, 0, 2, 2])
+    cases = [
+        ("relu", relu, (x,), (0,)),
+        ("exp", exp, (x,), (0,)),
+        ("log", log, (np.exp(x),), (0,)),
+        ("maximum", lambda t: maximum(t, 0.25), (x,), (0,)),
+        ("sum_all", sum_all, (x,), (0,)),
+        ("mean_all", mean_all, (x,), (0,)),
+        ("sum_rows", sum_rows, (x,), (0,)),
+        ("log_softmax_rows", log_softmax_rows, (x,), (0,)),
+        ("std_rows", std_rows, (x,), (0,)),
+        ("std_rows_population", lambda t: std_rows(t, corrected=False), (x,), (0,)),
+        ("max_rows", max_rows, (x,), (0,)),
+        ("min_rows", min_rows, (x,), (0,)),
+        ("gather_rows", lambda t: gather_rows(t, idx), (x,), (0,)),
+        ("affine", affine, (x, w, b), (0, 1, 2)),
+        ("affine_input_only", affine, (x, w, b), (0,)),
+    ]
+    for op_name, op in BINARY_OPS:
+        for sx, sy in BROADCAST_SHAPES:
+            args = (rng.normal(size=sx), rng.uniform(0.5, 2.0, size=sy))
+            for branch, taped in (("x", (0,)), ("y", (1,)), ("both", (0, 1))):
+                cases.append((f"{op_name}-{sx}-{sy}-{branch}_taped", op, args, taped))
+    return cases
+
+
+BINARY_OPS = [("add", add), ("subtract", subtract), ("multiply", multiply), ("divide", divide)]
+# (N, C) against (N, 1) and against 0-d, each side in turn the broadcast one
+BROADCAST_SHAPES = [((4, 5), (4, 1)), ((4, 1), (4, 5)), ((4, 5), ()), ((), (4, 5))]
+CONTRACT_CASES = _contract_cases()
+
+
+class TestPrimitiveContract:
+    """Each primitive records one node whose value is its untaped value, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "fn,args,taped", [c[1:] for c in CONTRACT_CASES], ids=[c[0] for c in CONTRACT_CASES]
+    )
+    def test_taped_value_is_untaped_value_on_one_node(self, fn, args, taped):
+        plain = fn(*args)
+        tape = Tape()
+        inputs = [tape.leaf(a) if i in taped else a for i, a in enumerate(args)]
+        before = len(tape.nodes)
+        out = fn(*inputs)
+        assert isinstance(out, Tensor) and out.tape is tape
+        assert len(tape.nodes) == before + 1 and tape.nodes[-1] is out
+        assert out.data.dtype == plain.dtype and out.data.shape == plain.shape
+        assert out.data.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize(
+        "fn,args", [c[1:3] for c in CONTRACT_CASES], ids=[c[0] for c in CONTRACT_CASES]
+    )
+    def test_untaped_call_returns_plain_array_and_records_nothing(self, fn, args):
+        tape = Tape()
+        tape.leaf(args[0])
+        out = fn(*args)
+        assert isinstance(out, np.ndarray)
+        assert len(tape.nodes) == 1
+
+    def test_untaped_mean_of_empty_is_nan(self):
+        with pytest.warns(RuntimeWarning):
+            assert np.isnan(mean_all(np.zeros((0, 3))))
+
+    @pytest.mark.parametrize("op", [op for _, op in BINARY_OPS], ids=[n for n, _ in BINARY_OPS])
+    @pytest.mark.parametrize("sx,sy", BROADCAST_SHAPES)
+    def test_binary_gradient_per_branch(self, op, sx, sy):
+        rng = np.random.default_rng(zlib.crc32(f"{op.__name__}{sx}{sy}".encode()))
+        x = rng.normal(size=sx)
+        y = rng.uniform(0.5, 2.0, size=sy)
+        w = rng.normal(size=np.broadcast_shapes(sx, sy))
+
+        def weighted(out):
+            return sum_all(multiply(out, w))
+
+        branches = {
+            "x_taped": (lambda t: weighted(op(t, y)), x),
+            "y_taped": (lambda t: weighted(op(x, t)), y),
+            "both_taped_grad_x": (lambda t: weighted(op(t, t.tape.leaf(y))), x),
+            "both_taped_grad_y": (lambda t: weighted(op(t.tape.leaf(x), t)), y),
+        }
+        for branch, (f, point) in branches.items():
+            assert grad_check(f, point) < 1e-6, branch
 
 
 class TestGradCheck:
