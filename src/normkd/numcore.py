@@ -24,6 +24,12 @@ Conventions that matter for reproducibility:
 * the backward pass walks nodes in reverse creation order, visiting each
   exactly once, so repeated runs are bit-identical.
 
+Ownership: a tape holds its leaves; every other node lives while
+something uses it, its caller or a later node that has it as a parent.
+``Tape.backward`` fills ``.grad`` on every live node.  A dropped tape and
+output free their interior arrays at once by reference counting; only
+the cycle between a tape and its leaves waits for the cyclic collector.
+
 Tapes are single-owner while being built and must not be shared between
 threads; finished values (numpy arrays) are safe to read concurrently.
 """
@@ -31,6 +37,7 @@ threads; finished values (numpy arrays) are safe to read concurrently.
 from __future__ import annotations
 
 import operator
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +90,7 @@ def softmax_values(z: Array) -> Array:
 class Tensor:
     """A node on a :class:`Tape`: a float64 array plus backward metadata."""
 
-    __slots__ = ("tape", "data", "grad", "_parents", "_vjp")
+    __slots__ = ("tape", "data", "grad", "_parents", "_vjp", "__weakref__")
 
     def __init__(self, tape: "Tape", data: Array, parents=(), vjp=None):
         self.tape = tape
@@ -138,31 +145,51 @@ class Tensor:
 class Tape:
     """Ordered record of primitive operations for one backward pass.
 
-    Nodes are appended in construction order, which is automatically a
+    Nodes are recorded in construction order, which is automatically a
     topological order: operands exist before the operations that consume
     them.
+
+    The tape holds its leaves and only weak references to every other
+    node.  An interior node lives while its caller, or a later node
+    through its parents, still uses it; once the output and the handles
+    the caller kept are dropped, reference counting frees the interior
+    arrays at once.  The one cycle left, a leaf's ``tape`` and the tape's
+    leaves, holds only the leaf copies and waits for the cyclic collector.
     """
 
     def __init__(self) -> None:
-        self.nodes: list[Tensor] = []
+        self._leaves: list[Tensor] = []
+        self._refs: list[weakref.ref] = []
+
+    @property
+    def nodes(self) -> list[Tensor]:
+        """The live nodes in creation order; every leaf is live."""
+        return [node for ref in self._refs if (node := ref()) is not None]
 
     def leaf(self, value, name: str = "leaf") -> Tensor:
-        """Register an input whose gradient will be accumulated."""
+        """Register an input whose gradient will be accumulated.
+
+        The tape keeps the leaf alive, so its ``.grad`` is filled even
+        when the caller keeps no handle to it.
+        """
         node = Tensor(self, as_array(value, name).copy())
-        self.nodes.append(node)
+        self._leaves.append(node)
+        self._refs.append(weakref.ref(node))
         return node
 
     def _record(self, data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
         node = Tensor(self, data, parents, vjp)
-        self.nodes.append(node)
+        self._refs.append(weakref.ref(node))
         return node
 
     def backward(self, output: Tensor) -> None:
-        """Fill ``.grad`` on every node with d(output)/d(node).
+        """Fill ``.grad`` on every live node with d(output)/d(node).
 
         ``output`` must be a scalar node of this tape.  Leaves that do not
-        influence the output end up with zero gradient.  Each node's local
-        backward rule runs exactly once, in reverse creation order.
+        influence the output end up with zero gradient.  Each live node's
+        local backward rule runs exactly once, in reverse creation order.
+        A node nothing uses any more is neither listed nor visited: it is
+        not among ``output``'s ancestors, so its gradient would be zero.
         """
         if output.tape is not self:
             raise ContractError("output tensor belongs to a different tape")
@@ -170,10 +197,11 @@ class Tape:
             raise ContractError(
                 f"backward requires a scalar output, got shape {output.data.shape}"
             )
-        for node in self.nodes:
+        nodes = self.nodes
+        for node in nodes:
             node.grad = np.zeros_like(node.data)
         output.grad = np.ones_like(output.data)
-        for node in reversed(self.nodes):
+        for node in reversed(nodes):
             if node._vjp is None:
                 continue
             parent_grads = node._vjp(node.grad)
@@ -436,7 +464,9 @@ def grad_check(
     """
     if not step > 0.0:
         raise ContractError(f"grad_check step must be positive, got {step}")
-    point = as_array(point, "point")
+    # a private contiguous copy: the probes below shift it in place, and
+    # ``reshape(-1)`` of a strided view would be a copy the probes never move
+    point = as_array(point, "point").copy()
 
     tape = Tape()
     x = tape.leaf(point)

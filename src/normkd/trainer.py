@@ -23,7 +23,7 @@ from .datasets import Dataset
 from .distill import cross_entropy, distill_loss
 from .errors import ConfigError, ContractError
 from .logitstats import LogitCache, TemperatureRule
-from .numcore import Tape, affine, multiply, relu, value_of
+from .numcore import Tape, affine, as_array, multiply, relu, value_of
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,9 @@ def _teacher_matrix(cache, data: Dataset) -> np.ndarray:
                 f"teacher logits shape {cache.shape} does not cover dataset "
                 f"({data.n_samples} samples, {data.num_classes} classes)"
             )
-        return np.asarray(cache, dtype=np.float64)
+        # checked once here, as a LogitCache is at construction, not at the
+        # first batch that meets a bad row (or never, when beta is 0)
+        return as_array(cache, "teacher logits")
     cache = LogitCache.from_records(cache)
     if len(cache) != data.n_samples:
         raise ContractError(

@@ -1,5 +1,8 @@
 """Tape engine: values, gradients, determinism, and the checker itself."""
 
+import contextlib
+import gc
+import weakref
 import zlib
 
 import numpy as np
@@ -343,6 +346,108 @@ class TestGradCheck:
 
         with pytest.raises(NumericError):
             grad_check(log_loss, np.array([[1e-6, 1.0]]), step=1e-5)
+
+    def test_transposed_view_matches_its_contiguous_copy(self):
+        rng = np.random.default_rng(43)
+        x = rng.normal(size=(3, 4))
+        w = rng.normal(size=(4, 3))
+
+        def f(t):
+            return sum_all(multiply(exp(multiply(t, 0.3)), w))
+
+        err = grad_check(f, x.T)
+        assert err < 1e-8
+        assert np.float64(err).tobytes() == np.float64(grad_check(f, x.T.copy())).tobytes()
+
+    def test_raising_probe_leaves_callers_array_unchanged(self):
+        def log_loss(t):
+            return sum_all(log(t))
+
+        point = np.array([[1e-6, 1.0]])
+        before = point.tobytes()
+        with pytest.raises(NumericError):
+            grad_check(log_loss, point, step=1e-5)
+        assert point.tobytes() == before
+
+
+@contextlib.contextmanager
+def _no_cyclic_collector():
+    """Only reference counting frees objects inside the block."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+class TestTapeOwnership:
+    """The tape holds its leaves; every other node lives while something uses it."""
+
+    def test_dropped_interior_node_is_freed_while_the_tape_lives(self):
+        with _no_cyclic_collector():
+            tape = Tape()
+            x = tape.leaf(np.arange(4.0))
+            y = exp(x)
+            ref = weakref.ref(y)
+            del y
+            assert ref() is None
+            assert tape.nodes == [x]
+
+    def test_dropped_tape_frees_every_interior_node_without_a_collection(self):
+        from normkd.distill import distill_loss
+        from normkd.logitstats import parse_rule
+
+        rng = np.random.default_rng(47)
+        z_s, z_t = rng.normal(size=(2, 1024, 100))
+        labels = rng.integers(0, 100, size=1024)
+        with _no_cyclic_collector():
+            tape = Tape()
+            leaf = tape.leaf(z_s)
+            out = distill_loss(parse_rule("multiset:1,2,4"), leaf, z_t, labels).node
+            tape.backward(out)
+            interior = [weakref.ref(node) for node in tape.nodes if node is not leaf]
+            assert len(interior) > 20
+            del tape, leaf, out
+            assert [ref for ref in interior if ref() is not None] == []
+
+    def test_nodes_keep_creation_order_and_dropped_leaves(self):
+        with _no_cyclic_collector():
+            tape = Tape()
+            a = tape.leaf(np.ones(2))
+            tape.leaf(np.zeros(3))
+            b = multiply(a, 2.0)
+            c = tape.leaf(np.ones(1))
+            nodes = tape.nodes
+            assert len(nodes) == 4
+            assert nodes[0] is a and nodes[2] is b and nodes[3] is c
+            assert nodes[1].data.tobytes() == np.zeros(3).tobytes()
+            tape.backward(sum_all(b))
+            assert nodes[1].grad.tobytes() == np.zeros(3).tobytes()
+
+    def test_dropped_dead_end_leaves_gradient_bytes_unchanged(self):
+        rng = np.random.default_rng(53)
+        x0 = rng.normal(size=(5, 7))
+        w = rng.normal(size=(5, 7))
+
+        def run(keep_dead_end):
+            tape = Tape()
+            x = tape.leaf(x0)
+            h = log_softmax_rows(x)
+            dead_end = exp(multiply(x, 0.5))
+            out = mean_all(multiply(h, w))
+            if not keep_dead_end:
+                del dead_end
+            count = len(tape.nodes)
+            tape.backward(out)
+            return count, x.grad.tobytes()
+
+        with _no_cyclic_collector():
+            held_count, held_grad = run(True)
+            dropped_count, dropped_grad = run(False)
+        assert held_count - dropped_count == 2
+        assert dropped_grad == held_grad
 
 
 def test_parameter_count():

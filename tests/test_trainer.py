@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from normkd.datasets import Dataset, make_blobs
-from normkd.errors import ConfigError, ContractError
+from normkd.errors import ConfigError, ContractError, NumericError
 from normkd.logitstats import Fixed, NormStd
 from normkd.numcore import parameter_count
 from normkd.trainer import (
@@ -244,6 +244,15 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, lr_decay_epochs=(), rule=Fixed(2.0))
         with pytest.raises(ContractError):
             train(MlpSpec((4, 6, 3)), cfg, train_ds, bad)
+
+    @pytest.mark.parametrize("epochs,beta", [(0, 0.5), (2, 0.0), (2, 0.5)])
+    def test_non_finite_teacher_array_rejected_before_the_first_step(self, epochs, beta):
+        train_ds, _ = tiny_dataset()
+        teacher = cache_teacher_logits(init_mlp(MlpSpec((4, 5, 3), init_seed=0)), train_ds).logits
+        teacher[train_ds.n_samples - 1, 1] = np.nan
+        cfg = TrainConfig(epochs=epochs, lr_decay_epochs=(), beta=beta, rule=Fixed(2.0))
+        with pytest.raises(NumericError, match="teacher logits"):
+            train(MlpSpec((4, 6, 3)), cfg, train_ds, teacher)
 
     def test_spec_dataset_width_mismatch_rejected(self):
         train_ds, _ = tiny_dataset()
