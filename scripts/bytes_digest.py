@@ -1,31 +1,54 @@
-"""One sha256 over the bytes normkd computes, for bit-for-bit A/B checks.
+"""sha256 digests of the bytes normkd computes, for bit-for-bit A/B checks.
 
-Run it on two trees and compare the printed digests:
+    PYTHONPATH=src python scripts/bytes_digest.py                  # one digest
+    PYTHONPATH=src python scripts/bytes_digest.py --each           # one per part
+    PYTHONPATH=src python scripts/bytes_digest.py --cli            # the CLI run
+    python scripts/bytes_digest.py [--cli] --against REV           # the gate
 
-    PYTHONPATH=src python scripts/bytes_digest.py
-
-The digest covers, for every case of the loss grid below, the taped
+The default digest covers, for every case of the loss grid below, the taped
 ``distill_loss`` values, per-sample weights, tape node count and every
 node's data and grad bytes after backward, plus the same values from the
 untaped (plain-array) call.  It also covers a short teacher training and a
 student training per rule: parameters, history and logit caches.  A case
 that raises contributes its error type and message instead.  Nothing is
 written to disk.
+
+``--cli`` digests a desk CLI sequence instead, run in-process in a
+temporary directory: gen-data, train-teacher, grad-check (default, and
+``--instances 7 --step 1e-6``), distill for six arms, two variants
+(``std_corrected = false``, ``detach_student_stat = true``) and an arm
+that trains its own teacher, then eval and analyze.  Its parts are every
+file written plus each command's exit code, stdout and stderr, with the
+temporary directory's path replaced by ``<work>``.
+
+``--each`` prints one digest per part (a loss-grid cell, a training run, a
+file or a stream) before the total, so a mismatch names its part.
+``--against REV`` exports ``REV`` with ``git archive`` into a temporary
+directory, runs this script with ``--each`` once on this tree's ``src``
+and once on that tree's ``src``, prints every part that differs and exits
+1 on any difference, or 2 when ``REV`` cannot be exported or a side
+fails.  Run both sides on one machine: numpy's SIMD kernels change the
+bytes between CPUs.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
+import io
 import itertools
+import os
 import struct
+import subprocess
 import sys
+import tarfile
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from normkd import MlpSpec, TrainConfig, cache_teacher_logits, distill_loss, make_blobs, train
-from normkd.logitstats import parse_rule
-from normkd.numcore import Tape
 
 RULES = (
     "fixed:4", "fixed:1", "multiset:1,2,4", "multiset:4", "normstd:2.0",
@@ -51,24 +74,37 @@ def _logits(rng: np.random.Generator, n: int, c: int, kind: str) -> np.ndarray:
 
 
 class Digest:
+    """One running sha256 over everything added, and one per named part."""
+
     def __init__(self) -> None:
         self._h = hashlib.sha256()
+        self.parts = {}
+        self._part = None
+
+    def part(self, name: str) -> None:
+        self._part = self.parts.setdefault(name, hashlib.sha256())
 
     def add(self, *values) -> None:
         for v in values:
             if isinstance(v, np.ndarray):
-                self._h.update(repr((v.dtype.str, v.shape)).encode())
-                self._h.update(np.ascontiguousarray(v).tobytes())
+                chunks = (repr((v.dtype.str, v.shape)).encode(), np.ascontiguousarray(v).tobytes())
             elif isinstance(v, float):
-                self._h.update(struct.pack("<d", v))
+                chunks = (struct.pack("<d", v),)
             else:
-                self._h.update(repr(v).encode())
+                chunks = (repr(v).encode(),)
+            for chunk in chunks:
+                self._h.update(chunk)
+                if self._part is not None:
+                    self._part.update(chunk)
 
     def hexdigest(self) -> str:
         return self._h.hexdigest()
 
 
 def _loss_case(d: Digest, rule, z_s, z_t, labels, corrected: bool, detach: bool) -> None:
+    from normkd import distill_loss
+    from normkd.numcore import Tape
+
     kwargs = dict(alpha=0.1, beta=0.9, corrected=corrected, detach_student_stat=detach)
     try:
         plain = distill_loss(rule, z_s, z_t, labels, **kwargs)
@@ -84,11 +120,14 @@ def _loss_case(d: Digest, rule, z_s, z_t, labels, corrected: bool, detach: bool)
 
 
 def loss_grid(d: Digest) -> int:
+    from normkd.logitstats import parse_rule
+
     cases = 0
     for n, c, kind in itertools.product(SIZES, CLASSES, ROW_KINDS):
         rng = np.random.default_rng([n, c, ROW_KINDS.index(kind)])
         z_s, z_t = _logits(rng, n, c, kind), _logits(rng, n, c, kind)
         labels = rng.integers(0, c, size=n)
+        d.part(f"loss n={n} c={c} {kind}")
         for spec, corrected, detach in itertools.product(RULES, (True, False), (False, True)):
             d.add(spec, n, c, kind, corrected, detach)
             _loss_case(d, parse_rule(spec), z_s, z_t, labels, corrected, detach)
@@ -97,6 +136,9 @@ def loss_grid(d: Digest) -> int:
 
 
 def trainings(d: Digest) -> int:
+    from normkd import MlpSpec, TrainConfig, cache_teacher_logits, make_blobs, train
+    from normkd.logitstats import parse_rule
+
     train_ds, val_ds = make_blobs(classes=4, dim=6, per_class=40, separation=2.0, seed=3)
     recipe = TrainConfig(epochs=4, batch_size=16, lr_decay_epochs=(3,), learning_rate=0.02, seed=1)
     teacher, history = train(
@@ -107,6 +149,7 @@ def trainings(d: Digest) -> int:
         val_ds,
     )
     cache = cache_teacher_logits(teacher, train_ds)
+    d.part("train teacher")
     d.add("teacher", *(a for wb in teacher for a in wb), repr(history), cache.logits)
     for spec in TRAIN_RULES:
         for corrected, detach in ((True, False), (False, True)):
@@ -114,17 +157,139 @@ def trainings(d: Digest) -> int:
                 recipe, rule=parse_rule(spec), std_corrected=corrected, detach_student_stat=detach
             )
             student, history = train(MlpSpec((6, 5, 4), init_seed=1), config, train_ds, cache, val_ds)
+            d.part(f"train {spec} corrected={corrected} detach={detach}")
             d.add(spec, corrected, detach, *(a for wb in student for a in wb), repr(history))
             d.add(cache_teacher_logits(student, val_ds).logits)
-    return 1 + 2 * len(TRAIN_RULES)
+    # depth 3, alpha != 1 and a batch size that divides neither the rows nor a power of two
+    odd = replace(recipe, batch_size=7, alpha=0.37)
+    for spec in (None, "normstd:2.0"):
+        config = replace(odd, rule=parse_rule(spec) if spec else None, beta=0.9 if spec else 0.0)
+        params, history = train(MlpSpec((6, 7, 5, 4), init_seed=2), config, train_ds, cache, val_ds)
+        d.part(f"train {spec or 'ce'} depth 3 batch 7")
+        d.add(spec, *(a for wb in params for a in wb), repr(history))
+    return 3 + 2 * len(TRAIN_RULES)
 
 
-def main() -> int:
+DESK_DATA = ["--classes", "10", "--dim", "16", "--per-class", "200", "--separation", "2.0"]
+DESK_RECIPE = {
+    "train_data": "demo.train.txt",
+    "val_data": "demo.val.txt",
+    "seeds": "1",
+    "student_layers": "16,8,10",
+    "epochs": "60",
+    "lr_decay_epochs": "42,52",
+    "batch_size": "64",
+    "learning_rate": "0.05",
+    "weight_decay": "0.05",
+    "alpha": "0.1",
+    "beta": "0.9",
+}
+TEACHER_KEYS = {"teacher_layers": "16,64,10", "teacher_weight_decay": "0.02"}
+CACHED = {"teacher_cache": "teacher/seed1/teacher.train.nkdl"}
+DESK_CONFIGS = {
+    "teacher": TEACHER_KEYS,
+    "none": dict(CACHED, alpha="1.0", beta="0.0"),
+    "fixed": dict(CACHED, rule="fixed:4"),
+    "multiset": dict(CACHED, rule="multiset:1,2,4", learning_rate="0.01"),
+    "normstd": dict(CACHED, rule="normstd:2.0"),
+    "maxval": dict(CACHED, rule="maxval:1.0"),
+    "range": dict(CACHED, rule="range:1.0"),
+    "normstd_uncorrected": dict(CACHED, rule="normstd:2.0", std_corrected="false"),
+    "normstd_detached": dict(CACHED, rule="normstd:2.0", detach_student_stat="true"),
+    "own_teacher": dict(TEACHER_KEYS, rule="range:1.0", epochs="20", lr_decay_epochs="15"),
+}
+
+
+def cli_parts(d: Digest) -> int:
+    from normkd import cli
+
+    os.environ.pop("NORMKD_SEED", None)  # it would override every config's seeds
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp).resolve()
+        for name, keys in DESK_CONFIGS.items():
+            keys = dict(DESK_RECIPE, output_dir=name, **keys)
+            text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+            (work / f"{name}.cfg").write_text(text)
+        calls = [
+            ["gen-data", *DESK_DATA, "--seed", "1", "--out-prefix", "demo"],
+            ["train-teacher", "--config", "teacher.cfg"],
+            ["grad-check"],
+            ["grad-check", "--instances", "7", "--step", "1e-6"],
+            *(["distill", "--config", f"{name}.cfg"] for name in DESK_CONFIGS if name != "teacher"),
+            ["eval", "--cache", "normstd/seed1/student.val.nkdl"],
+            ["analyze", "--teacher-cache", "teacher/seed1/teacher.val.nkdl",
+             "--student-cache", "normstd/seed1/student.val.nkdl", "--out-dir", "analysis"],
+        ]
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            for argv in calls:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv)
+                label = " ".join(argv)
+                for stream, text in (("exit", repr(code)), ("stdout", out.getvalue()),
+                                     ("stderr", err.getvalue())):
+                    d.part(f"$ {label} [{stream}]")
+                    d.add(text.replace(str(work), "<work>"))
+        finally:
+            os.chdir(cwd)
+        for path in sorted(p for p in work.rglob("*") if p.is_file()):
+            d.part(str(path.relative_to(work)))
+            d.add(path.read_bytes().replace(str(work).encode(), b"<work>"))
+    return len(calls)
+
+
+def against(rev: str, cli: bool) -> int:
+    """Run the digest on this tree and on ``rev``; 0 if every part matches."""
+    root = Path(__file__).resolve().parents[1]
+    argv = [sys.executable, str(Path(__file__).resolve()), "--each"] + (["--cli"] if cli else [])
+
+    def run(src: Path) -> dict[str, str]:
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
+        return dict(reversed(line.split("  ", 1)) for line in out.splitlines())
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
+                              check=True, stdout=subprocess.PIPE).stdout
+        with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
+            tar.extractall(tmp, filter="data")
+        theirs = run(Path(tmp) / "src")
+    ours = run(root / "src")
+    differ = sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
+    for n in differ:
+        print(f"differs: {n} ({ours.get(n, 'missing')} here, {theirs.get(n, 'missing')} at {rev})")
+    print(f"{len(ours) - len(differ)} of {len(ours)} parts identical to {rev}"
+          f"{'' if differ else '; digest ' + ours['total']}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cli", action="store_true", help="digest the desk CLI sequence")
+    parser.add_argument("--each", action="store_true", help="print one digest per part")
+    parser.add_argument("--against", metavar="REV", help="compare with the tree of revision REV")
+    args = parser.parse_args(argv)
+    if args.against:
+        try:
+            return against(args.against, args.cli)
+        except subprocess.CalledProcessError as exc:  # its own stderr has been shown
+            command = " ".join(map(str, exc.cmd))
+            print(f"error: `{command}` exited {exc.returncode}", file=sys.stderr)
+            return 2
     d = Digest()
-    cases = loss_grid(d)
-    runs = trainings(d)
-    print(d.hexdigest())
-    print(f"{cases} loss cases, {runs} training runs", file=sys.stderr)
+    if args.cli:
+        summary = f"{cli_parts(d)} CLI commands"
+    else:
+        summary = f"{loss_grid(d)} loss cases, {trainings(d)} training runs"
+    if args.each:
+        for name, h in d.parts.items():
+            print(f"{h.hexdigest()}  {name}")
+        print(f"{d.hexdigest()}  total")
+    else:
+        print(d.hexdigest())
+    print(f"{summary}, {len(d.parts)} parts", file=sys.stderr)
     return 0
 
 

@@ -24,8 +24,9 @@ Conventions that matter for reproducibility:
 * the backward pass walks nodes in reverse creation order, visiting each
   exactly once, so repeated runs are bit-identical.
 
-Ownership: a tape holds its leaves; every other node lives while
-something uses it, its caller or a later node that has it as a parent.
+Ownership: a tape holds its leaves; every other node, a root from
+``Tape.root`` included, lives while something uses it, its caller or a
+later node that has it as a parent.
 ``Tape.backward`` fills ``.grad`` on every live node.  A dropped tape and
 output free their interior arrays at once by reference counting; only
 the cycle between a tape and its leaves waits for the cyclic collector.
@@ -103,12 +104,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
-    def backward(self) -> None:
-        self.tape.backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, tape_nodes={len(self.tape.nodes)})"
 
@@ -150,11 +145,12 @@ class Tape:
     them.
 
     The tape holds its leaves and only weak references to every other
-    node.  An interior node lives while its caller, or a later node
-    through its parents, still uses it; once the output and the handles
-    the caller kept are dropped, reference counting frees the interior
-    arrays at once.  The one cycle left, a leaf's ``tape`` and the tape's
-    leaves, holds only the leaf copies and waits for the cyclic collector.
+    node, roots included.  An interior node lives while its caller, or a
+    later node through its parents, still uses it; once the output and
+    the handles the caller kept are dropped, reference counting frees the
+    interior arrays at once.  The one cycle left, a leaf's ``tape`` and
+    the tape's leaves, holds only the leaf copies and waits for the
+    cyclic collector.
     """
 
     def __init__(self) -> None:
@@ -176,6 +172,15 @@ class Tape:
         self._leaves.append(node)
         self._refs.append(weakref.ref(node))
         return node
+
+    def root(self, data: Array) -> Tensor:
+        """Record ``data`` as a parentless node, neither copied nor checked.
+
+        Unlike a leaf, the tape does not hold it: ``backward`` fills its
+        ``.grad`` while the caller keeps the handle.  This is how a caller
+        that computed ``data`` itself differentiates through it.
+        """
+        return self._record(data, (), None)
 
     def _record(self, data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
         node = Tensor(self, data, parents, vjp)

@@ -7,9 +7,14 @@ dataset) inputs always reproduce identical parameters and history.  The
 loop is single-threaded by contract.
 
 Distillation uses a cache of precomputed teacher logits; the teacher is
-never run online.  With no cache (or beta = 0) the objective is plain
-cross entropy scaled by alpha, and the distillation path contributes
-nothing, not even zero-valued graph nodes.
+never run online.  With no cache (or beta = 0, or no rule) the objective
+is plain cross entropy scaled by alpha.
+
+A training step runs the MLP untaped and replays its backward on plain
+arrays, in the tape's order and with the tape's numpy expressions, so the
+parameters come out bit-identical to a fully taped step.  A plain-CE step
+builds no tape at all: it replays cross entropy's backward as well.  A
+distilling step tapes only the loss, with the logits as its root node.
 """
 
 from __future__ import annotations
@@ -20,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .distill import cross_entropy, distill_loss
+from .distill import _as_labels, cross_entropy, distill_loss
 from .errors import ConfigError, ContractError
 from .logitstats import LogitCache, TemperatureRule
-from .numcore import Tape, affine, as_array, multiply, relu, value_of
+from .numcore import Tape, affine, as_array, log_softmax_values, multiply, relu, value_of
 
 
 @dataclass(frozen=True)
@@ -180,9 +185,14 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
+def _plain_ce(config: TrainConfig, teacher_rows) -> bool:
+    """Whether the objective is alpha-scaled cross entropy alone."""
+    return teacher_rows is None or config.beta == 0.0 or config.rule is None
+
+
 def _batch_loss(config: TrainConfig, logits, labels, teacher_rows):
     """Scalar loss node plus (ce, kld) floats for the history."""
-    if teacher_rows is None or config.beta == 0.0 or config.rule is None:
+    if _plain_ce(config, teacher_rows):
         ce = cross_entropy(logits, labels)
         total = multiply(ce, config.alpha)
         return total, float(value_of(ce)), 0.0
@@ -212,6 +222,62 @@ def _split_record(
         total=config.alpha * ce + config.beta * kld,
         top1=float(np.mean(logits.argmax(axis=1) == data.labels)),
     )
+
+
+def _ce_logit_grad(logits, labels, alpha: float) -> np.ndarray:
+    """d(alpha * cross_entropy)/d(logits), untaped.
+
+    Replays the backward rules of the nodes ``cross_entropy`` and the alpha
+    multiply record (the multiply, ``mean_all``, ``* -1.0``, the gather and
+    log-softmax) in reverse creation order.  Each node's gradient is its
+    one contribution written as ``np.add(g, 0.0)``, which equals the tape's
+    ``zeros + g`` bit for bit, signed zeros included.
+    """
+    log_p = log_softmax_values(logits)
+    n = log_p.shape[0]
+    g = np.add(np.ones(()) * alpha, 0.0)
+    g = np.add(np.broadcast_to(g * (1.0 / n), (n, 1)), 0.0)
+    g = np.add(g * -1.0, 0.0)
+    picked = np.zeros_like(log_p)
+    np.put_along_axis(picked, labels[:, None], g, axis=1)
+    g = np.add(picked, 0.0)
+    return np.add(g - np.exp(log_p) * g.sum(axis=1, keepdims=True), 0.0)
+
+
+def _step_grads(config: TrainConfig, params: Params, x, labels, teacher_rows) -> Params:
+    """The batch loss's gradient for every (weight, bias), bit-identical to
+    taping ``forward`` and ``_batch_loss`` and calling ``Tape.backward``.
+
+    A plain-CE step builds no tape.  Otherwise a tape holds only the loss,
+    and the gradient reaching the logits comes from its backward.  The
+    MLP's forward and backward run on plain arrays either way; the
+    parameters are checked finite first, as ``Tape.leaf`` checked them.
+    """
+    for w, b in params:
+        as_array(w, "leaf")
+        as_array(b, "leaf")
+    inputs = []
+    h = x
+    for w, b in params:
+        if inputs:
+            h = np.maximum(h, 0.0)
+        inputs.append(h)
+        h = h @ w + b
+    if _plain_ce(config, teacher_rows):
+        labels = _as_labels(labels, h.shape[0], h.shape[1])
+        g = _ce_logit_grad(h, labels, config.alpha)
+    else:
+        tape = Tape()
+        logits = tape.root(h)
+        loss, _, _ = _batch_loss(config, logits, labels, teacher_rows)
+        tape.backward(loss)
+        g = logits.grad
+    grads: Params = []
+    for x_in, (w, _) in zip(reversed(inputs), reversed(params)):
+        grads.append((np.add(x_in.T @ g, 0.0), np.add(g.sum(axis=0), 0.0)))
+        if x_in is not x:  # back through the ReLU that made this input
+            g = np.add(np.add(g @ w.T, 0.0) * (x_in > 0.0), 0.0)
+    return grads[::-1]
 
 
 def train(
@@ -263,14 +329,10 @@ def train(
         order = _epoch_order(config.seed, epoch, train_data.n_samples)
         for start in range(0, order.size, config.batch_size):
             idx = order[start : start + config.batch_size]
-            tape = Tape()
-            leaves = [(tape.leaf(w), tape.leaf(b)) for (w, b) in params]
-            logits = forward(leaves, x_all[idx])
             teacher_rows = teacher[idx] if teacher is not None else None
-            loss, _, _ = _batch_loss(config, logits, y_all[idx], teacher_rows)
-            tape.backward(loss)
-            for (w, b), (wl, bl), (vw, vb) in zip(params, leaves, momentum_bufs):
-                for p, g, v in ((w, wl.grad, vw), (b, bl.grad, vb)):
+            grads = _step_grads(config, params, x_all[idx], y_all[idx], teacher_rows)
+            for (w, b), (gw, gb), (vw, vb) in zip(params, grads, momentum_bufs):
+                for p, g, v in ((w, gw, vw), (b, gb, vb)):
                     g = g + config.weight_decay * p
                     v *= config.momentum
                     v += g
