@@ -17,9 +17,13 @@ written to disk.
 temporary directory: gen-data, train-teacher, grad-check (default, and
 ``--instances 7 --step 1e-6``), distill for six arms, two variants
 (``std_corrected = false``, ``detach_student_stat = true``) and an arm
-that trains its own teacher, then eval and analyze.  Its parts are every
-file written plus each command's exit code, stdout and stderr, with the
-temporary directory's path replaced by ``<work>``.
+that trains its own teacher, then eval and analyze.  Three failing calls
+follow, so that error messages are digested too: eval of a cache copy
+whose record 3 has label C, analyze of the train-split teacher cache
+against a val-split student cache, and distill from the val-split
+teacher cache.  Its parts are every file written plus each command's
+exit code, stdout and stderr, with the temporary directory's path
+replaced by ``<work>``.
 
 ``--each`` prints one digest per part (a loss-grid cell, a training run, a
 file or a stream) before the total, so a mismatch names its part.
@@ -198,6 +202,24 @@ DESK_CONFIGS = {
     "normstd_detached": dict(CACHED, rule="normstd:2.0", detach_student_stat="true"),
     "own_teacher": dict(TEACHER_KEYS, rule="range:1.0", epochs="20", lr_decay_epochs="15"),
 }
+# each of these fails; its exit code and stderr are the digested behaviour
+FAILING_CONFIGS = {
+    "val_teacher": dict(rule="normstd:2.0", teacher_cache="teacher/seed1/teacher.val.nkdl"),
+}
+FAILING_CALLS = [
+    ["eval", "--cache", "bad_label.nkdl"],
+    ["analyze", "--teacher-cache", "teacher/seed1/teacher.train.nkdl",
+     "--student-cache", "normstd/seed1/student.val.nkdl", "--out-dir", "bad_analysis"],
+    ["distill", "--config", "val_teacher.cfg"],
+]
+
+
+def _write_bad_label(src: Path, dst: Path) -> None:
+    """Copy an NKDL cache with record 3's label set to C, one past the last class."""
+    data = bytearray(src.read_bytes())
+    c = struct.unpack_from("<I", data, 12)[0]
+    struct.pack_into("<I", data, 16 + 3 * (8 + 4 * c) + 4, c)
+    dst.write_bytes(bytes(data))
 
 
 def cli_parts(d: Digest) -> int:
@@ -206,7 +228,7 @@ def cli_parts(d: Digest) -> int:
     os.environ.pop("NORMKD_SEED", None)  # it would override every config's seeds
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
-        for name, keys in DESK_CONFIGS.items():
+        for name, keys in {**DESK_CONFIGS, **FAILING_CONFIGS}.items():
             keys = dict(DESK_RECIPE, output_dir=name, **keys)
             text = "".join(f"{k} = {v}\n" for k, v in keys.items())
             (work / f"{name}.cfg").write_text(text)
@@ -220,24 +242,31 @@ def cli_parts(d: Digest) -> int:
             ["analyze", "--teacher-cache", "teacher/seed1/teacher.val.nkdl",
              "--student-cache", "normstd/seed1/student.val.nkdl", "--out-dir", "analysis"],
         ]
+
+        def run(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            label = " ".join(argv)
+            for stream, text in (("exit", repr(code)), ("stdout", out.getvalue()),
+                                 ("stderr", err.getvalue())):
+                d.part(f"$ {label} [{stream}]")
+                d.add(text.replace(str(work), "<work>"))
+
         cwd = os.getcwd()
         os.chdir(work)
         try:
             for argv in calls:
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv)
-                label = " ".join(argv)
-                for stream, text in (("exit", repr(code)), ("stdout", out.getvalue()),
-                                     ("stderr", err.getvalue())):
-                    d.part(f"$ {label} [{stream}]")
-                    d.add(text.replace(str(work), "<work>"))
+                run(argv)
+            _write_bad_label(work / "teacher/seed1/teacher.val.nkdl", work / "bad_label.nkdl")
+            for argv in FAILING_CALLS:
+                run(argv)
         finally:
             os.chdir(cwd)
         for path in sorted(p for p in work.rglob("*") if p.is_file()):
             d.part(str(path.relative_to(work)))
             d.add(path.read_bytes().replace(str(work).encode(), b"<work>"))
-    return len(calls)
+    return len(calls) + len(FAILING_CALLS)
 
 
 def against(rev: str, cli: bool) -> int:

@@ -42,7 +42,6 @@ from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
     Fixed,
     LogitCache,
-    LogitRecord,
     LogitSummary,
     MaxVal,
     MultiSet,

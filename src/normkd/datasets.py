@@ -140,6 +140,8 @@ def read_dataset(path: Path | str) -> Dataset:
         c, d, n = (int(h) for h in header)
     except ValueError as exc:
         raise FileFormatError(f"{path}: non-integer header {lines[0]!r}") from exc
+    if c < 1 or d < 1 or n < 0:
+        raise FileFormatError(f"{path}: header {lines[0]!r} needs C >= 1, D >= 1, N >= 0")
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != n:
         raise FileFormatError(f"{path}: expected {n} rows, found {len(rows)}")

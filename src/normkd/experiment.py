@@ -30,7 +30,11 @@ Keys::
                                 (default: same as student; teacher_epochs
                                 without teacher_lr_decay_epochs: no decay)
     std_corrected=true          corrected (C-1) vs population std
-    detach_student_stat=false   ablation: constant student statistic
+    detach_student_stat=false   ablation: constant student statistic;
+                                it can stall a student at chance (on the
+                                README quickstart data, 16-8-10 with
+                                normstd:2.0 at lr 0.01: val top-1 0.905
+                                live, 0.1 from epoch 1 detached)
 
 The default decay schedule applies only with the default epoch count;
 overriding ``epochs`` without ``lr_decay_epochs`` disables decay.
@@ -63,11 +67,11 @@ from .ioutil import atomic_write_text
 from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
     LogitCache,
-    LogitRecord,
     MaxVal,
     NormStd,
     Range,
     parse_rule,
+    require_cache,
     row_temperatures,
     rule_label,
     summarize,
@@ -167,6 +171,8 @@ def load_experiment_config(path: Path | str, env=None) -> ExperimentConfig:
     base = path.parent
 
     def _path(key: str) -> Path:
+        if not raw[key]:
+            raise ConfigError(f"{path}: {key} is empty")
         return (base / raw[key]).resolve() if not Path(raw[key]).is_absolute() else Path(raw[key])
 
     seeds = _parse_int_tuple(raw["seeds"], "seeds")
@@ -241,8 +247,8 @@ def _train_teacher_for_seed(
     write_logit_cache(seed_dir / "teacher.train.nkdl", cache_teacher_logits(params, train_ds))
     write_logit_cache(seed_dir / "teacher.val.nkdl", cache_teacher_logits(params, val_ds))
     # distill from the serialized float32 values, not the in-memory float64 ones
-    records = read_logit_cache(seed_dir / "teacher.train.nkdl")
-    return records, history, evaluate(params, val_ds)
+    cache = read_logit_cache(seed_dir / "teacher.train.nkdl")
+    return cache, history, evaluate(params, val_ds)
 
 
 @dataclass(frozen=True)
@@ -274,7 +280,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     name, params_label = rule_label(cfg.student.rule)
     # one cache serves every seed, so it is read (and a bad one fails) once, up front
     cached = cfg.teacher_cache is not None and cfg.student.rule is not None
-    teacher_records = read_logit_cache(cfg.teacher_cache) if cached else None
+    teacher_logits = read_logit_cache(cfg.teacher_cache) if cached else None
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         # the widths are checked before the teacher trains, so a bad student fails fast
@@ -282,9 +288,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         seed_dir = cfg.output_dir / f"seed{seed}"
         seed_dir.mkdir(parents=True, exist_ok=True)
         if cfg.student.rule is not None and not cached:
-            teacher_records, _, _ = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
+            teacher_logits, _, _ = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
         params, history = train(
-            spec, replace(cfg.student, seed=seed), train_ds, teacher_records, val_ds
+            spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
         )
         write_history_csv(seed_dir / "history.csv", history)
         write_logit_cache(seed_dir / "student.train.nkdl", cache_teacher_logits(params, train_ds))
@@ -341,8 +347,8 @@ def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray, c: int) -
 
 
 def analyze(
-    teacher_records: LogitCache | list[LogitRecord],
-    student_records: LogitCache | list[LogitRecord],
+    teacher: LogitCache,
+    student: LogitCache,
     t_norm: float = 2.0,
     epsilon: float = 1e-8,
     corrected: bool = True,
@@ -356,8 +362,8 @@ def analyze(
     positive.  Classes with no samples keep zero rows.
     """
     rule = NormStd(t_norm, epsilon)
-    teacher = LogitCache.from_records(teacher_records)
-    student = LogitCache.from_records(student_records)
+    require_cache(teacher, "analyze teacher")
+    require_cache(student, "analyze student")
     if len(teacher) != len(student) or not len(teacher):
         raise ContractError(
             f"cache sizes differ or are empty: {len(teacher)} vs {len(student)}"

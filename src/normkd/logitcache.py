@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractError, FileFormatError, NumericError
 from .ioutil import atomic_write_bytes
-from .logitstats import LogitCache, LogitRecord
+from .logitstats import LogitCache, require_cache
 
 MAGIC = b"NKDL"
 VERSION = 1
@@ -34,13 +34,12 @@ def _record_dtype(c: int) -> np.dtype:
     return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))])
 
 
-def write_logit_cache(path: Path | str, records: LogitCache | list[LogitRecord]) -> None:
+def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
     """Write a cache; ids must fit u32 and logits the float32 range.
 
     Every check runs before the file is touched.
     """
-    cache = LogitCache.from_records(records)
-    if not len(cache):
+    if not len(require_cache(cache, "write_logit_cache input")):
         raise ContractError("refusing to write an empty logit cache")
     n, c = cache.logits.shape
     bad_id = (cache.sample_ids < 0) | (cache.sample_ids >= _ID_LIMIT)

@@ -21,7 +21,7 @@ intentional.
 
 A batch of samples travels as one :class:`LogitCache`: id and label
 columns plus an (N, C) logit matrix, validated once with array checks.
-:class:`LogitRecord` is the one-sample view of a row.
+It is the only type that carries logits across a module boundary.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DimensionError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .numcore import (
     as_vector,
     log_softmax_values,
@@ -47,38 +47,17 @@ HISTOGRAM_BINS = 50
 
 
 @dataclass(frozen=True, eq=False)
-class LogitRecord:
-    """One sample's raw class logits, with its label and stable id."""
-
-    sample_id: int
-    label: int
-    logits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "logits", _check_row(self.label, self.logits))
-
-
-def _check_row(label: int, logits) -> np.ndarray:
-    """One row's logits as a finite float64 vector; its label must index them."""
-    z = as_vector(logits, "logits")
-    if label < 0 or label >= z.shape[0]:
-        raise ContractError(f"label {label} outside [0, {z.shape[0]})")
-    return z
-
-
-@dataclass(frozen=True, eq=False)
 class LogitCache:
     """N samples' raw class logits as columns, in sample order.
 
     ``sample_ids`` and ``labels`` are int64 vectors of length N and
     ``logits`` is a float64 (N, C) matrix; the arrays are held as given
     when they already have these dtypes.  Construction checks every row
-    at once: logits finite and each label in [0, C).  For the first row
-    that fails, it raises the error :class:`LogitRecord` raises for that
-    row, with the row's index in the error's ``row`` attribute.
-
-    ``len``, iteration and integer indexing give per-row
-    :class:`LogitRecord` views; a slice gives a LogitCache.
+    at once: logits finite and each label in [0, C).  The first row that
+    fails raises a NumericError (non-finite logits) or a ContractError
+    (label out of range), with the row's index in the error's ``row``
+    attribute.  Row i is ``sample_ids[i]``, ``labels[i]`` and
+    ``logits[i]``; ``len`` gives N.
     """
 
     sample_ids: np.ndarray
@@ -100,34 +79,15 @@ class LogitCache:
         bad = (labels < 0) | (labels >= c) | ~np.isfinite(logits).all(axis=1)
         if bad.any():
             row = int(bad.argmax())
-            try:
-                _check_row(int(labels[row]), logits[row])
-            except ContractError as exc:
-                exc.row = row
-                raise
+            if np.isfinite(logits[row]).all():
+                exc = ContractError(f"label {labels[row]} outside [0, {c})")
+            else:
+                exc = NumericError("logits contains non-finite entries")
+            exc.row = row
+            raise exc
         object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "logits", logits)
-
-    @classmethod
-    def from_records(cls, records) -> "LogitCache":
-        """Columnar form of a sequence of LogitRecord; a LogitCache passes through."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        if not records:
-            return cls(np.empty(0, np.int64), np.empty(0, np.int64), np.empty((0, 0)))
-        c = records[0].logits.shape[0]
-        for i, rec in enumerate(records):
-            if rec.logits.shape[0] != c:
-                raise DimensionError(
-                    f"record {i} has {rec.logits.shape[0]} classes, expected {c}"
-                )
-        return cls(
-            np.array([rec.sample_id for rec in records]),
-            np.array([rec.label for rec in records]),
-            np.stack([rec.logits for rec in records]),
-        )
 
     @property
     def num_classes(self) -> int:
@@ -136,15 +96,12 @@ class LogitCache:
     def __len__(self) -> int:
         return self.logits.shape[0]
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return LogitCache(self.sample_ids[index], self.labels[index], self.logits[index])
-        return LogitRecord(
-            int(self.sample_ids[index]), int(self.labels[index]), self.logits[index]
-        )
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
+def require_cache(value, name: str) -> LogitCache:
+    """``value`` itself if it is a LogitCache; any other type is a ContractError."""
+    if not isinstance(value, LogitCache):
+        raise ContractError(f"{name} must be a LogitCache, got {type(value).__name__}")
+    return value
 
 
 def _require_positive(value: float, name: str) -> None:
@@ -264,18 +221,15 @@ class LogitSummary:
 
 
 def summarize(
-    records: LogitCache | list[LogitRecord],
-    corrected: bool = True,
-    bins: int = HISTOGRAM_BINS,
+    cache: LogitCache, corrected: bool = True, bins: int = HISTOGRAM_BINS
 ) -> LogitSummary:
-    """Summarize a batch of logit records.
+    """Summarize a cache's rows.
 
     Entropy is that of the T=1 softmax, in nats.  The sigma histogram uses
     ``bins`` uniform bins over [min, max] of the observed sigmas (numpy
     widens a degenerate range by 0.5 on each side).
     """
-    cache = LogitCache.from_records(records)
-    if not len(cache):
+    if not len(require_cache(cache, "summarize input")):
         raise ContractError("summarize needs at least one record")
     z = cache.logits
     sigma = std_rows(z, corrected)[:, 0]

@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import Dataset
 from .distill import _as_labels, cross_entropy, distill_loss
 from .errors import ConfigError, ContractError
-from .logitstats import LogitCache, TemperatureRule
+from .logitstats import LogitCache, TemperatureRule, require_cache
 from .numcore import Tape, affine, as_array, log_softmax_values, multiply, relu, value_of
 
 
@@ -149,19 +149,9 @@ def cache_teacher_logits(params: Params, data: Dataset) -> LogitCache:
     )
 
 
-def _teacher_matrix(cache, data: Dataset) -> np.ndarray:
+def _teacher_matrix(cache: LogitCache, data: Dataset) -> np.ndarray:
     """Validate a teacher cache against the dataset; return its logit matrix."""
-    if isinstance(cache, np.ndarray):
-        if cache.shape != (data.n_samples, data.num_classes):
-            raise ContractError(
-                f"teacher logits shape {cache.shape} does not cover dataset "
-                f"({data.n_samples} samples, {data.num_classes} classes)"
-            )
-        # checked once here, as a LogitCache is at construction, not at the
-        # first batch that meets a bad row (or never, when beta is 0)
-        return as_array(cache, "teacher logits")
-    cache = LogitCache.from_records(cache)
-    if len(cache) != data.n_samples:
+    if len(require_cache(cache, "teacher_logits")) != data.n_samples:
         raise ContractError(
             f"teacher cache has {len(cache)} records, dataset has {data.n_samples}"
         )
@@ -284,14 +274,14 @@ def train(
     spec: MlpSpec,
     config: TrainConfig,
     train_data: Dataset,
-    teacher_logits=None,
+    teacher_logits: LogitCache | None = None,
     val_data: Dataset | None = None,
 ) -> tuple[Params, TrainHistory]:
     """Minimize alpha*CE + beta*KLD(rule) over the training split.
 
-    ``teacher_logits`` is an optional cache (a LogitCache or list of
-    LogitRecord in dataset order, or an (N, C) array) covering every
-    training sample; without it the objective is alpha-scaled plain cross
+    ``teacher_logits`` is an optional LogitCache covering every training
+    sample in dataset order (its ids 0..N-1 and labels must match the
+    dataset's); without it the objective is alpha-scaled plain cross
     entropy.
     History records ce/kld/total/top1 per epoch for the train split and,
     when ``val_data`` is given, the validation split; validation rows

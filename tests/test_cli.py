@@ -8,7 +8,7 @@ import pytest
 from normkd.cli import main
 from normkd.datasets import read_dataset
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import LogitRecord
+from normkd.logitstats import LogitCache
 
 
 def gen_data(tmp_path, **overrides):
@@ -49,6 +49,11 @@ class TestGenData:
     def test_impossible_geometry_exits_2(self, tmp_path, capsys):
         assert gen_data(tmp_path, separation=1e308) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def rows(logits, labels):
+    """A LogitCache of the given rows and labels, with ids 0..N-1."""
+    return LogitCache(np.arange(len(labels)), np.array(labels), np.array(logits, dtype=float))
 
 
 def write_config(tmp_path, extra="", drop=()):
@@ -100,12 +105,27 @@ class TestDistillCommand:
 
     def test_cache_shape_mismatch_exits_4(self, tmp_path):
         gen_data(tmp_path)
-        bad = [LogitRecord(i, 0, np.zeros(5)) for i in range(3)]
-        write_logit_cache(tmp_path / "teacher.nkdl", bad)
+        write_logit_cache(tmp_path / "teacher.nkdl", rows(np.zeros((3, 5)), [0, 0, 0]))
         cfg = write_config(
             tmp_path, extra="teacher_cache = teacher.nkdl\n", drop=("teacher_layers",)
         )
         assert main(["distill", "--config", str(cfg)]) == 4
+
+    @pytest.mark.parametrize("key", ["train_data", "val_data", "output_dir", "teacher_cache"])
+    def test_empty_path_exits_2_and_writes_nothing(self, tmp_path, capsys, key):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra=f"{key} =\n", drop=(key,))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["distill", "--config", str(cfg)]) == 2
+        assert f"{key} is empty" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_bad_dataset_header_exits_3(self, tmp_path, capsys):
+        gen_data(tmp_path)
+        (tmp_path / "blobs.train.txt").write_text("3 -1 2\n0,1.0\n1,2.0\n")
+        cfg = write_config(tmp_path)
+        assert main(["distill", "--config", str(cfg)]) == 3
+        assert "header '3 -1 2' needs C >= 1, D >= 1, N >= 0" in capsys.readouterr().err
 
     def test_seed_env_override(self, tmp_path, monkeypatch, capsys):
         gen_data(tmp_path)
@@ -137,23 +157,14 @@ class TestTrainTeacherCommand:
 
 class TestEvalCommand:
     def test_accuracy_from_cache(self, tmp_path, capsys):
-        records = [
-            LogitRecord(0, 0, np.array([3.0, 0.0])),
-            LogitRecord(1, 1, np.array([2.0, 1.0])),
-        ]
-        write_logit_cache(tmp_path / "c.nkdl", records)
+        write_logit_cache(tmp_path / "c.nkdl", rows([[3.0, 0.0], [2.0, 1.0]], [0, 1]))
         assert main(["eval", "--cache", str(tmp_path / "c.nkdl")]) == 0
         assert "top1=0.5 (1/2)" in capsys.readouterr().out
 
     def test_exact_ties_count_the_first_index(self, tmp_path, capsys):
         # every row has a tied maximum; the first tied class is the prediction
-        records = [
-            LogitRecord(0, 0, np.array([1.0, 0.0, 1.0])),
-            LogitRecord(1, 2, np.array([1.0, 0.0, 1.0])),
-            LogitRecord(2, 1, np.array([-3.0, 5.0, 5.0])),
-            LogitRecord(3, 2, np.array([2.0, 2.0, 2.0])),
-        ]
-        write_logit_cache(tmp_path / "ties.nkdl", records)
+        logits = [[1.0, 0.0, 1.0], [1.0, 0.0, 1.0], [-3.0, 5.0, 5.0], [2.0, 2.0, 2.0]]
+        write_logit_cache(tmp_path / "ties.nkdl", rows(logits, [0, 2, 1, 2]))
         assert main(["eval", "--cache", str(tmp_path / "ties.nkdl")]) == 0
         assert "top1=0.5 (2/4)" in capsys.readouterr().out
 
@@ -184,10 +195,8 @@ class TestAnalyzeCommand:
         assert {r["variant"] for r in rows} == {"raw", "normalized"}
 
     def test_mismatched_caches_exit_4(self, tmp_path):
-        a = [LogitRecord(0, 0, np.zeros(3))]
-        b = [LogitRecord(0, 1, np.zeros(3))]
-        write_logit_cache(tmp_path / "a.nkdl", a)
-        write_logit_cache(tmp_path / "b.nkdl", b)
+        write_logit_cache(tmp_path / "a.nkdl", rows(np.zeros((1, 3)), [0]))
+        write_logit_cache(tmp_path / "b.nkdl", rows(np.zeros((1, 3)), [1]))
         assert (
             main(
                 [
@@ -203,7 +212,7 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("t_norm", ["0", "-1"])
     def test_non_positive_t_norm_exits_4(self, tmp_path, capsys, t_norm):
-        write_logit_cache(tmp_path / "a.nkdl", [LogitRecord(0, 0, np.array([1.0, 0.0, 2.0]))])
+        write_logit_cache(tmp_path / "a.nkdl", rows([[1.0, 0.0, 2.0]], [0]))
         argv = [
             "analyze",
             "--teacher-cache", str(tmp_path / "a.nkdl"),

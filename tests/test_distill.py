@@ -504,3 +504,40 @@ class TestGradients:
         z_s = rng.normal(0, 1.5, size=(4, 4))
         err = grad_check(lambda t: multi_temp_kld(t, z_t, (0.7, 2.0, 5.0)), z_s)
         assert err <= 1e-4
+
+
+class TestTeacherSideRowSubsets:
+    """The teacher side of a batch, computed on the batch alone, is bit-equal
+    to the same computation on the whole cache, indexed by the batch.
+
+    This is what lets the teacher side be computed once per run instead of
+    once per step.  It holds because every operation involved works row by
+    row; the test pins it on the installed numpy, whose SIMD kernels could
+    in principle treat a row differently by its position in the array.
+    """
+
+    @pytest.mark.parametrize("kind", ["normal", "float32"])
+    @pytest.mark.parametrize("c", [2, 3, 10, 100])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize(
+        "rule",
+        [Fixed(4.0), MultiSet((1.0, 2.0, 4.0)), NormStd(2.0), MaxVal(1.0), Range(1.0)],
+        ids=["fixed", "multiset", "normstd", "maxval", "range"],
+    )
+    def test_batch_equals_full_matrix_indexed(self, rule, corrected, c, kind):
+        from normkd.distill import _softened
+
+        n = 200
+        rng = np.random.default_rng([c, n, kind == "float32"])
+        z = rng.normal(0.0, 2.0, size=(n, c))
+        if kind == "float32":  # the values a student reads back from a cache
+            z = (z + 4.0).astype(np.float32).astype(np.float64)
+        lp_all, t_all = _softened(rule, z, z, corrected)
+        p_all = np.exp(lp_all)
+        t_all = np.broadcast_to(t_all, (n, 1))
+        for _ in range(30):
+            idx = rng.permutation(n)[: rng.integers(1, 70)]
+            lp, t = _softened(rule, z[idx], z[idx], corrected)
+            assert lp.tobytes() == lp_all[idx].tobytes()
+            assert np.exp(lp).tobytes() == p_all[idx].tobytes()
+            assert np.broadcast_to(t, (idx.size, 1)).tobytes() == t_all[idx].tobytes()

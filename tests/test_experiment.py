@@ -21,7 +21,7 @@ from normkd.experiment import (
 )
 from normkd import experiment
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import Fixed, LogitCache, LogitRecord, sample_std
+from normkd.logitstats import Fixed, LogitCache, sample_std
 from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, init_mlp, train
 
 
@@ -281,27 +281,29 @@ class TestTeacherRecipe:
             assert got == (tmp_path / f"hand.{split}.nkdl").read_bytes()
 
 
-def fake_records(rng, n, c, label_count=None):
-    labels = rng.integers(0, label_count or c, size=n)
-    return [LogitRecord(i, int(labels[i]), rng.normal(0, 2, size=c)) for i in range(n)]
+def fake_cache(rng, n, c):
+    labels = rng.integers(0, c, size=n)
+    return LogitCache(np.arange(n), labels, rng.normal(0, 2, size=(n, c)))
+
+
+def with_logits(cache, logits):
+    """A cache of the same samples and labels holding other logits."""
+    return LogitCache(cache.sample_ids, cache.labels, logits)
 
 
 class TestAnalyze:
     def test_identical_caches_zero_matrices(self):
         rng = np.random.default_rng(0)
-        records = fake_records(rng, 12, 4)
-        result = analyze(records, records)
+        cache = fake_cache(rng, 12, 4)
+        result = analyze(cache, cache)
         np.testing.assert_array_equal(result.raw_matrix, np.zeros((4, 4)))
         np.testing.assert_array_equal(result.norm_matrix, np.zeros((4, 4)))
         assert frobenius(result.raw_matrix) == 0.0
 
     def test_matrix_entries_nonnegative(self):
         rng = np.random.default_rng(1)
-        teacher = fake_records(rng, 30, 5)
-        student = [
-            LogitRecord(r.sample_id, r.label, r.logits + rng.normal(0, 0.5, size=5))
-            for r in teacher
-        ]
+        teacher = fake_cache(rng, 30, 5)
+        student = with_logits(teacher, teacher.logits + rng.normal(0, 0.5, size=(30, 5)))
         result = analyze(teacher, student)
         assert np.all(result.raw_matrix >= 0)
         assert np.all(result.norm_matrix >= 0)
@@ -309,28 +311,29 @@ class TestAnalyze:
 
     def test_sigma_column_matches_sample_std(self):
         rng = np.random.default_rng(2)
-        teacher = fake_records(rng, 10, 4)
-        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=4)) for r in teacher]
+        teacher = fake_cache(rng, 10, 4)
+        student = with_logits(teacher, rng.normal(size=(10, 4)))
         result = analyze(teacher, student)
-        for i, rec in enumerate(teacher):
-            assert result.teacher_stats["sigma"][i] == sample_std(rec.logits)
-        for i, rec in enumerate(student):
-            assert result.student_stats["sigma"][i] == sample_std(rec.logits)
+        for i, z in enumerate(teacher.logits):
+            assert result.teacher_stats["sigma"][i] == sample_std(z)
+        for i, z in enumerate(student.logits):
+            assert result.student_stats["sigma"][i] == sample_std(z)
 
     def test_mismatched_caches_rejected(self):
         rng = np.random.default_rng(3)
-        teacher = fake_records(rng, 5, 4)
-        student = fake_records(rng, 6, 4)
+        teacher = fake_cache(rng, 5, 4)
+        student = fake_cache(rng, 6, 4)
         with pytest.raises(ContractError):
             analyze(teacher, student)
-        shuffled = list(reversed(fake_records(rng, 5, 4)))
+        other = fake_cache(rng, 5, 4)
+        shuffled = LogitCache(other.sample_ids[::-1], other.labels[::-1], other.logits[::-1])
         with pytest.raises(ContractError):
             analyze(teacher, shuffled)
 
     def test_write_analysis_files(self, tmp_path):
         rng = np.random.default_rng(4)
-        teacher = fake_records(rng, 8, 3)
-        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=3)) for r in teacher]
+        teacher = fake_cache(rng, 8, 3)
+        student = with_logits(teacher, rng.normal(size=(8, 3)))
         summary_path, matrix_path = write_analysis(analyze(teacher, student), tmp_path)
         with summary_path.open() as fh:
             rows = list(csv.DictReader(fh))
@@ -344,26 +347,15 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("t_norm", [0.0, -1.0, float("nan")])
     def test_non_positive_t_norm_rejected(self, t_norm):
-        records = fake_records(np.random.default_rng(5), 4, 3)
+        cache = fake_cache(np.random.default_rng(5), 4, 3)
         with pytest.raises(ContractError, match="t_norm must be strictly positive"):
-            analyze(records, records, t_norm=t_norm)
-
-    def test_columnar_and_record_inputs_agree(self):
-        rng = np.random.default_rng(6)
-        teacher = fake_records(rng, 20, 4)
-        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=4)) for r in teacher]
-        a = analyze(teacher, student)
-        b = analyze(LogitCache.from_records(teacher), LogitCache.from_records(student))
-        np.testing.assert_array_equal(a.raw_matrix, b.raw_matrix)
-        np.testing.assert_array_equal(a.norm_matrix, b.norm_matrix)
-        for stat in a.teacher_stats:
-            np.testing.assert_array_equal(a.student_stats[stat], b.student_stats[stat])
+            analyze(cache, cache, t_norm=t_norm)
 
     def test_write_analysis_matches_per_value_repr(self, tmp_path):
         # reference rendering: one repr(float(...)) per cell, the format of the CSV contract
         rng = np.random.default_rng(7)
-        teacher = fake_records(rng, 6, 3)
-        student = [LogitRecord(r.sample_id, r.label, rng.normal(size=3)) for r in teacher]
+        teacher = fake_cache(rng, 6, 3)
+        student = with_logits(teacher, rng.normal(size=(6, 3)))
         result = analyze(teacher, student)
         summary_path, matrix_path = write_analysis(result, tmp_path)
         lines = summary_path.read_text().splitlines()

@@ -8,7 +8,7 @@ import pytest
 from normkd.datasets import Dataset, make_blobs, read_dataset, write_dataset
 from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import LogitCache, LogitRecord
+from normkd.logitstats import LogitCache
 
 
 class TestMakeBlobs:
@@ -95,6 +95,11 @@ class TestDatasetFile:
             ("2 2 1\n5,1.0,2.0\n", "labels outside"),
             ("2 2 1\n0,1.0,nan\n", "non-finite"),
             ("2 2 1\n0,1.0,oops\n", "unparseable"),
+            ("3 -1 2\n0,1.0\n1,2.0\n", "header '3 -1 2' needs C >= 1, D >= 1, N >= 0"),
+            ("3 0 1\n0\n", "header '3 0 1' needs"),
+            ("0 2 0\n", "header '0 2 0' needs"),
+            ("-2 2 0\n", "header '-2 2 0' needs"),
+            ("2 2 -1\n", "header '2 2 -1' needs"),
         ],
     )
     def test_malformed_files_coded_errors(self, tmp_path, content, message):
@@ -108,39 +113,44 @@ class TestDatasetFile:
             read_dataset(tmp_path / "nope.txt")
 
 
-def random_records(rng, n=7, c=4):
-    return [
-        LogitRecord(i, int(rng.integers(0, c)), rng.normal(size=c).astype(np.float32).astype(np.float64))
-        for i in range(n)
-    ]
+def rows(logits, sample_ids=None, labels=None):
+    """A LogitCache of the given rows; ids default to 0..N-1 and labels to 0."""
+    logits = np.array(logits, dtype=float)
+    n = logits.shape[0]
+    return LogitCache(
+        np.arange(n) if sample_ids is None else sample_ids,
+        np.zeros(n, int) if labels is None else labels,
+        logits,
+    )
+
+
+def random_cache(rng, n=7, c=4):
+    labels = rng.integers(0, c, size=n)
+    return rows(rng.normal(size=(n, c)).astype(np.float32).astype(np.float64), labels=labels)
 
 
 class TestLogitCacheFile:
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
-        records = random_records(rng)
+        cache = random_cache(rng)
         path = tmp_path / "cache.nkdl"
-        write_logit_cache(path, records)
+        write_logit_cache(path, cache)
         back = read_logit_cache(path)
-        assert len(back) == len(records)
-        for a, b in zip(records, back):
-            assert (a.sample_id, a.label) == (b.sample_id, b.label)
-            np.testing.assert_array_equal(a.logits, b.logits)
+        assert len(back) == len(cache)
+        np.testing.assert_array_equal(back.sample_ids, cache.sample_ids)
+        np.testing.assert_array_equal(back.labels, cache.labels)
+        np.testing.assert_array_equal(back.logits, cache.logits)
 
     def test_write_read_write_is_byte_stable(self, tmp_path):
         rng = np.random.default_rng(1)
-        records = [
-            LogitRecord(i, 0, rng.normal(size=5)) for i in range(4)
-        ]
         a, b = tmp_path / "a.nkdl", tmp_path / "b.nkdl"
-        write_logit_cache(a, records)
+        write_logit_cache(a, rows(rng.normal(size=(4, 5))))
         write_logit_cache(b, read_logit_cache(a))
         assert a.read_bytes() == b.read_bytes()
 
     def test_exact_size_and_little_endian_layout(self, tmp_path):
-        records = [LogitRecord(3, 1, np.array([1.0, -2.0, 0.5]))]
         path = tmp_path / "cache.nkdl"
-        write_logit_cache(path, records)
+        write_logit_cache(path, rows([[1.0, -2.0, 0.5]], sample_ids=[3], labels=[1]))
         data = path.read_bytes()
         assert len(data) == 16 + 1 * (8 + 4 * 3)
         assert data[:4] == b"NKDL"
@@ -167,7 +177,7 @@ class TestLogitCacheFile:
     def test_truncation_names_expected_and_actual(self, tmp_path):
         rng = np.random.default_rng(2)
         path = tmp_path / "cache.nkdl"
-        write_logit_cache(path, random_records(rng, n=3, c=4))
+        write_logit_cache(path, random_cache(rng, n=3, c=4))
         data = path.read_bytes()
         clipped = tmp_path / "clipped.nkdl"
         clipped.write_bytes(data[:-5])
@@ -188,17 +198,17 @@ class TestLogitCacheFile:
             read_logit_cache(path)
 
     def test_empty_cache_write_rejected(self, tmp_path):
-        with pytest.raises(ContractError):
-            write_logit_cache(tmp_path / "e.nkdl", [])
+        with pytest.raises(ContractError, match="empty logit cache"):
+            write_logit_cache(tmp_path / "e.nkdl", rows(np.empty((0, 3))))
 
     def test_float32_is_serialization_boundary(self, tmp_path):
         # float64 values are narrowed once on write and widen back exactly
-        record = LogitRecord(0, 0, np.array([0.1234567890123, -7.77]))
+        cache = rows([[0.1234567890123, -7.77]])
         path = tmp_path / "c.nkdl"
-        write_logit_cache(path, [record])
-        back = read_logit_cache(path)[0]
+        write_logit_cache(path, cache)
+        back = read_logit_cache(path)
         np.testing.assert_array_equal(
-            back.logits, record.logits.astype(np.float32).astype(np.float64)
+            back.logits, cache.logits.astype(np.float32).astype(np.float64)
         )
 
 
@@ -229,66 +239,31 @@ class TestLogitCacheBoundaries:
 
     @pytest.mark.parametrize("sample_id", [2**32, 2**40, -1])
     def test_sample_id_outside_u32_is_coded(self, tmp_path, sample_id):
-        records = [LogitRecord(0, 0, np.zeros(3)), LogitRecord(sample_id, 0, np.zeros(3))]
+        cache = rows(np.zeros((2, 3)), sample_ids=[0, sample_id])
         path = tmp_path / "ids.nkdl"
         with pytest.raises(ContractError, match="record 1 has sample_id"):
-            write_logit_cache(path, records)
+            write_logit_cache(path, cache)
         assert not path.exists()
 
     @pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38])
     def test_logits_beyond_float32_rejected_before_writing(self, tmp_path, value):
-        records = [LogitRecord(0, 0, np.zeros(3)), LogitRecord(1, 0, np.array([0.0, value, 1.0]))]
+        cache = rows([[0.0, 0.0, 0.0], [0.0, value, 1.0]])
         path = tmp_path / "wide.nkdl"
         with pytest.raises(NumericError, match="record 1 has logits outside the float32 range"):
-            write_logit_cache(path, records)
+            write_logit_cache(path, cache)
         assert not path.exists()
 
     def test_float32_max_still_writes(self, tmp_path):
         top = float(np.finfo(np.float32).max)
         path = tmp_path / "edge.nkdl"
-        write_logit_cache(path, [LogitRecord(0, 0, np.array([top, -top]))])
+        write_logit_cache(path, rows([[top, -top]]))
         np.testing.assert_array_equal(read_logit_cache(path).logits, [[top, -top]])
 
     def test_read_returns_one_columnar_cache(self, tmp_path):
         path = four_record_file(tmp_path / "ok.nkdl")
         cache = read_logit_cache(path)
         assert isinstance(cache, LogitCache)
+        assert len(cache) == 4 and cache.num_classes == 3
         np.testing.assert_array_equal(cache.sample_ids, np.arange(4))
         assert cache.sample_ids.dtype == cache.labels.dtype == np.int64
         assert cache.logits.dtype == np.float64 and cache.logits.shape == (4, 3)
-
-
-class TestNoPerRowObjects:
-    """The columnar cache path builds no LogitRecord for a valid 10k-row cache."""
-
-    def test_cache_pipeline_constructs_no_records(self, tmp_path, monkeypatch, capsys):
-        from normkd.cli import main
-        from normkd.experiment import analyze
-        from normkd.logitstats import summarize
-        from normkd.trainer import MlpSpec, cache_teacher_logits, init_mlp
-
-        built = []
-        original = LogitRecord.__post_init__
-
-        def counting(self):
-            built.append(1)
-            original(self)
-
-        monkeypatch.setattr(LogitRecord, "__post_init__", counting)
-        train_ds, _ = make_blobs(10, 8, 1250, 2.0, seed=0)
-        assert train_ds.n_samples == 10_000
-        paths = {}
-        for role, widths in (("teacher", (8, 16, 10)), ("student", (8, 4, 10))):
-            cache = cache_teacher_logits(init_mlp(MlpSpec(widths, init_seed=1)), train_ds)
-            paths[role] = tmp_path / f"{role}.nkdl"
-            write_logit_cache(paths[role], cache)
-        teacher = read_logit_cache(paths["teacher"])
-        student = read_logit_cache(paths["student"])
-        summarize(teacher)
-        analyze(teacher, student)
-        assert main(["eval", "--cache", str(paths["teacher"])]) == 0
-        assert "/10000)" in capsys.readouterr().out
-        assert built == []
-        # the per-row view still builds one, so the counter is live
-        assert teacher[0].sample_id == 0
-        assert built == [1]

@@ -7,7 +7,6 @@ from normkd.errors import ConfigError, ContractError, DimensionError, NumericErr
 from normkd.logitstats import (
     Fixed,
     LogitCache,
-    LogitRecord,
     MaxVal,
     MultiSet,
     NormStd,
@@ -168,48 +167,13 @@ class TestRowTemperatures:
             row_temperatures(rule, np.zeros((2, 3)))
 
 
-class TestLogitRecord:
-    def test_label_range_checked(self):
-        with pytest.raises(ContractError):
-            LogitRecord(0, 3, np.zeros(3))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ContractError):
-            LogitRecord(0, 0, np.array([np.nan, 1.0]))
+def rows(*logits, label=0):
+    """A LogitCache with ids 0..N-1, every label ``label``, and the given rows."""
+    n = len(logits)
+    return LogitCache(np.arange(n), np.full(n, label), np.array(logits, dtype=float))
 
 
 class TestLogitCache:
-    def make(self):
-        return LogitCache(
-            np.array([4, 5, 6]), np.array([0, 2, 1]), np.arange(9.0).reshape(3, 3)
-        )
-
-    def test_rows_slices_and_iteration(self):
-        cache = self.make()
-        assert len(cache) == 3 and cache.num_classes == 3
-        rec = cache[1]
-        assert isinstance(rec, LogitRecord)
-        assert (rec.sample_id, rec.label) == (5, 2)
-        np.testing.assert_array_equal(rec.logits, [3.0, 4.0, 5.0])
-        assert cache[-1].sample_id == 6
-        tail = cache[1:]
-        assert isinstance(tail, LogitCache)
-        np.testing.assert_array_equal(tail.sample_ids, [5, 6])
-        assert [r.label for r in cache] == [0, 2, 1]
-
-    def test_from_records_round_trip(self):
-        cache = self.make()
-        back = LogitCache.from_records(list(cache))
-        np.testing.assert_array_equal(back.sample_ids, cache.sample_ids)
-        np.testing.assert_array_equal(back.labels, cache.labels)
-        np.testing.assert_array_equal(back.logits, cache.logits)
-        assert LogitCache.from_records(cache) is cache
-        assert len(LogitCache.from_records([])) == 0
-
-    def test_ragged_records_rejected(self):
-        with pytest.raises(DimensionError, match="record 1 has 4 classes, expected 3"):
-            LogitCache.from_records([LogitRecord(0, 0, np.zeros(3)), LogitRecord(1, 0, np.zeros(4))])
-
     @pytest.mark.parametrize(
         "ids,labels,logits",
         [
@@ -222,55 +186,97 @@ class TestLogitCache:
         with pytest.raises(DimensionError):
             LogitCache(np.array(ids), np.array(labels), logits)
 
-    def test_first_bad_row_raises_its_record_error(self):
+    @pytest.mark.parametrize(
+        "labels,bad_logit,error,message,row",
+        [
+            ([0, 1, 3, 0], np.inf, ContractError, r"^label 3 outside \[0, 3\)$", 2),
+            ([0, -1, 2, 0], np.inf, ContractError, r"^label -1 outside \[0, 3\)$", 1),
+            ([0, 1, 2, 0], np.inf, NumericError, "^logits contains non-finite entries$", 3),
+            ([0, 1, 2, 0], np.nan, NumericError, "^logits contains non-finite entries$", 3),
+            # a row with both faults reports its logits
+            ([0, 1, 2, 5], np.nan, NumericError, "^logits contains non-finite entries$", 3),
+        ],
+    )
+    def test_first_bad_row_raises_its_record_error(self, labels, bad_logit, error, message, row):
         logits = np.zeros((4, 3))
-        logits[3, 1] = np.inf
-        with pytest.raises(ContractError, match=r"label 3 outside \[0, 3\)") as info:
-            LogitCache(np.arange(4), np.array([0, 1, 3, 0]), logits)
-        assert info.value.row == 2
-        with pytest.raises(NumericError, match="non-finite") as info:
-            LogitCache(np.arange(4), np.array([0, 1, 2, 0]), logits)
-        assert info.value.row == 3
+        logits[3, 1] = bad_logit
+        with pytest.raises(error, match=message) as info:
+            LogitCache(np.arange(4), np.array(labels), logits)
+        assert type(info.value) is error and info.value.row == row
+
+
+def _call_with(target, value, tmp_path):
+    """Pass ``value`` where ``target`` takes a LogitCache; everything else is valid."""
+    from normkd.datasets import make_blobs
+    from normkd.experiment import analyze
+    from normkd.logitcache import write_logit_cache
+    from normkd.trainer import MlpSpec, TrainConfig, train
+
+    cache = rows([0.0, 1.0], [1.0, 0.0])
+    if target == "write_logit_cache":
+        write_logit_cache(tmp_path / "c.nkdl", value)
+    elif target == "summarize":
+        summarize(value)
+    elif target == "analyze teacher":
+        analyze(value, cache)
+    elif target == "analyze student":
+        analyze(cache, value)
+    else:
+        train_ds, _ = make_blobs(2, 3, 5, 2.0, seed=0)
+        config = TrainConfig(epochs=1, lr_decay_epochs=(), rule=Fixed(2.0))
+        train(MlpSpec((3, 2)), config, train_ds, value)
+
+
+class TestOneBatchType:
+    """A LogitCache is the only batch type these boundaries take."""
+
+    @pytest.mark.parametrize(
+        "target,value",
+        [
+            ("write_logit_cache", [np.zeros(3)]),
+            # ragged rows: the type check comes before any shape check
+            ("summarize", [np.zeros(3), np.zeros(4)]),
+            ("analyze teacher", [np.zeros(2), np.ones(2)]),
+            ("analyze student", [np.zeros(2), np.ones(2)]),
+            ("train", [np.zeros(2)] * 8),
+            ("train", np.zeros((8, 2))),
+        ],
+    )
+    def test_other_types_raise_a_contract_error_naming_logitcache(self, tmp_path, target, value):
+        with pytest.raises(ContractError, match=f"must be a LogitCache, got {type(value).__name__}$"):
+            _call_with(target, value, tmp_path)
+        assert not (tmp_path / "c.nkdl").exists()
 
 
 class TestSummarize:
     def test_uniform_record(self):
-        s = summarize([LogitRecord(0, 0, np.zeros(4))])
+        s = summarize(rows(np.zeros(4)))
         assert s.sigma[0] == 0.0
         np.testing.assert_allclose(s.entropy[0], np.log(4), rtol=1e-12)
 
     def test_known_extremes(self):
-        s = summarize([LogitRecord(0, 0, np.array([2.0, 0.0, -2.0]))])
+        s = summarize(rows([2.0, 0.0, -2.0]))
         assert s.sigma[0] == 2.0
         assert s.v_max[0] == 2.0
         assert s.v_min[0] == -2.0
         assert s.mu[0] == 0.0
 
     def test_identical_records_concentrate_histogram(self):
-        recs = [LogitRecord(i, 1, np.array([1.0, 3.0, -1.0])) for i in range(2)]
-        s = summarize(recs)
+        s = summarize(rows([1.0, 3.0, -1.0], [1.0, 3.0, -1.0], label=1))
         assert s.sigma_hist_counts.sum() == 2
         assert s.sigma_hist_counts.max() == 2
 
     def test_entropy_bounds(self):
         rng = np.random.default_rng(4)
-        recs = [
-            LogitRecord(i, 0, rng.normal(0, rng.uniform(0.1, 5), size=6))
-            for i in range(50)
-        ]
-        s = summarize(recs)
+        s = summarize(rows(*(rng.normal(0, rng.uniform(0.1, 5), size=6) for _ in range(50))))
         assert np.all(s.entropy >= 0.0)
         assert np.all(s.entropy <= np.log(6) + 1e-12)
         assert np.all(s.v_max >= s.v_min)
         assert np.all(s.sigma >= 0.0)
 
     def test_empty_rejected(self):
-        with pytest.raises(ContractError):
-            summarize([])
-
-    def test_ragged_rejected(self):
-        with pytest.raises(DimensionError):
-            summarize([LogitRecord(0, 0, np.zeros(3)), LogitRecord(1, 0, np.zeros(4))])
+        with pytest.raises(ContractError, match="at least one record"):
+            summarize(LogitCache(np.empty(0), np.empty(0), np.empty((0, 3))))
 
 
 class TestRuleParsing:
