@@ -17,11 +17,12 @@ written to disk.
 temporary directory: gen-data, train-teacher, grad-check (default, and
 ``--instances 7 --step 1e-6``), distill for six arms, two variants
 (``std_corrected = false``, ``detach_student_stat = true``) and an arm
-that trains its own teacher, then eval and analyze.  Three failing calls
+that trains its own teacher, then eval and analyze.  Five failing calls
 follow, so that error messages are digested too: eval of a cache copy
 whose record 3 has label C, analyze of the train-split teacher cache
-against a val-split student cache, and distill from the val-split
-teacher cache.  Its parts are every file written plus each command's
+against a val-split student cache, distill from the val-split teacher
+cache, distill with an empty ``student_layers``, and train-teacher with
+a teacher whose last width is not the class count.  Its parts are every file written plus each command's
 exit code, stdout and stderr, with the temporary directory's path
 replaced by ``<work>``.
 
@@ -205,12 +206,16 @@ DESK_CONFIGS = {
 # each of these fails; its exit code and stderr are the digested behaviour
 FAILING_CONFIGS = {
     "val_teacher": dict(rule="normstd:2.0", teacher_cache="teacher/seed1/teacher.val.nkdl"),
+    "no_student_layers": dict(student_layers=""),
+    "narrow_teacher": dict(teacher_layers="16,5"),
 }
 FAILING_CALLS = [
     ["eval", "--cache", "bad_label.nkdl"],
     ["analyze", "--teacher-cache", "teacher/seed1/teacher.train.nkdl",
      "--student-cache", "normstd/seed1/student.val.nkdl", "--out-dir", "bad_analysis"],
     ["distill", "--config", "val_teacher.cfg"],
+    ["distill", "--config", "no_student_layers.cfg"],
+    ["train-teacher", "--config", "narrow_teacher.cfg"],
 ]
 
 

@@ -67,6 +67,7 @@ from .ioutil import atomic_write_text
 from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
     LogitCache,
+    LogitSummary,
     MaxVal,
     NormStd,
     Range,
@@ -89,6 +90,7 @@ from .trainer import (
 SEED_ENV_VAR = "NORMKD_SEED"
 GRAD_CHECK_LOSSES = ("kd", "multi_temp", "normkd", "maxval", "range", "combine")
 GRAD_CHECK_TOLERANCE = 1e-4
+GRAD_CHECK_SEED = 20250809
 
 _REQUIRED_KEYS = ("train_data", "val_data", "student_layers", "seeds", "output_dir")
 # every TrainConfig field but the seed is a key; the teacher_* keys override the student's
@@ -235,15 +237,12 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
     _write_csv(Path(path), ("epoch", "split", "ce", "kld", "total", "top1"), rows)
 
 
-def write_summary_csv(path: Path | str, rows) -> None:
-    _write_csv(Path(path), ("seed", "rule", "params", "top1"), rows)
-
-
 def _train_teacher_for_seed(
     cfg: ExperimentConfig, seed: int, train_ds: Dataset, val_ds: Dataset, seed_dir: Path
 ) -> tuple[LogitCache, TrainHistory, float]:
     spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
     params, history = train(spec, replace(cfg.teacher, seed=seed), train_ds, None, val_ds)
+    seed_dir.mkdir(parents=True, exist_ok=True)
     write_logit_cache(seed_dir / "teacher.train.nkdl", cache_teacher_logits(params, train_ds))
     write_logit_cache(seed_dir / "teacher.val.nkdl", cache_teacher_logits(params, val_ds))
     # distill from the serialized float32 values, not the in-memory float64 ones
@@ -268,7 +267,7 @@ def _write_summary(cfg: ExperimentConfig, name: str, rows: list) -> ExperimentRe
     # every row names the same rule, so the aggregate repeats the first row's
     all_rows = rows + [("aggregate", *rows[0][1:3], f"{mean!r}±{std!r}")]
     summary_path = cfg.output_dir / name
-    write_summary_csv(summary_path, all_rows)
+    _write_csv(summary_path, ("seed", "rule", "params", "top1"), all_rows)
     return ExperimentResult(cfg.output_dir, summary_path, tuple(all_rows), mean, std)
 
 
@@ -276,7 +275,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train (teacher and) student per seed; write caches, histories, summary."""
     train_ds = read_dataset(cfg.train_data)
     val_ds = read_dataset(cfg.val_data)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     name, params_label = rule_label(cfg.student.rule)
     # one cache serves every seed, so it is read (and a bad one fails) once, up front
     cached = cfg.teacher_cache is not None and cfg.student.rule is not None
@@ -286,12 +284,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         # the widths are checked before the teacher trains, so a bad student fails fast
         spec = MlpSpec(cfg.student_layers, init_seed=seed)
         seed_dir = cfg.output_dir / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         if cfg.student.rule is not None and not cached:
             teacher_logits, _, _ = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
         params, history = train(
             spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
         )
+        seed_dir.mkdir(parents=True, exist_ok=True)
         write_history_csv(seed_dir / "history.csv", history)
         write_logit_cache(seed_dir / "student.train.nkdl", cache_teacher_logits(params, train_ds))
         write_logit_cache(seed_dir / "student.val.nkdl", cache_teacher_logits(params, val_ds))
@@ -305,11 +303,9 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("teacher training requires teacher_layers")
     train_ds = read_dataset(cfg.train_data)
     val_ds = read_dataset(cfg.val_data)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         seed_dir = cfg.output_dir / f"seed{seed}"
-        seed_dir.mkdir(parents=True, exist_ok=True)
         _, history, top1 = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
         write_history_csv(seed_dir / "teacher_history.csv", history)
         rows.append((str(seed), "none", "", repr(top1)))
@@ -322,13 +318,14 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Per-sample stats plus the class-averaged |student - teacher| prob
-    difference matrices, in raw (T=1) and per-sample-normalized variants."""
+    """Each cache's ``summarize`` statistics plus the class-averaged
+    |student - teacher| prob difference matrices, in raw (T=1) and
+    per-sample-normalized variants."""
 
     sample_ids: np.ndarray
     labels: np.ndarray
-    teacher_stats: dict[str, np.ndarray]
-    student_stats: dict[str, np.ndarray]
+    teacher_stats: LogitSummary
+    student_stats: LogitSummary
     raw_matrix: np.ndarray
     norm_matrix: np.ndarray
 
@@ -346,22 +343,17 @@ def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray, c: int) -
     return out
 
 
-def analyze(
-    teacher: LogitCache,
-    student: LogitCache,
-    t_norm: float = 2.0,
-    epsilon: float = 1e-8,
-    corrected: bool = True,
-) -> AnalysisResult:
+def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> AnalysisResult:
     """Compare teacher and student caches sample by sample.
 
     Matrix entry [c1, c2] is |mean over samples of true class c1 of
     (student prob of c2 - teacher prob of c2)|, with probabilities taken
     at T=1 (raw) and at each sample's own normalized temperature (norm),
-    max(std(z), epsilon) * t_norm; both t_norm and epsilon must be
-    positive.  Classes with no samples keep zero rows.
+    max(std(z), 1e-8) * t_norm, where std is the corrected (divide by
+    C-1) row std and t_norm must be positive.  Classes with no samples
+    keep zero rows.
     """
-    rule = NormStd(t_norm, epsilon)
+    rule = NormStd(t_norm)
     require_cache(teacher, "analyze teacher")
     require_cache(student, "analyze student")
     if len(teacher) != len(student) or not len(teacher):
@@ -377,24 +369,15 @@ def analyze(
         )
     labels, c = teacher.labels, teacher.num_classes
 
-    def _stats(cache):
-        s = summarize(cache, corrected)
-        return {
-            "sigma": s.sigma,
-            "v_max": s.v_max,
-            "v_min": s.v_min,
-            "entropy": s.entropy,
-        }
-
     def _norm_probs(z):
-        return softmax_values(z / row_temperatures(rule, z, corrected))
+        return softmax_values(z / row_temperatures(rule, z))
 
     z_t, z_s = teacher.logits, student.logits
     return AnalysisResult(
         sample_ids=teacher.sample_ids,
         labels=labels,
-        teacher_stats=_stats(teacher),
-        student_stats=_stats(student),
+        teacher_stats=summarize(teacher),
+        student_stats=summarize(student),
         raw_matrix=_diff_matrix(softmax_values(z_s), softmax_values(z_t), labels, c),
         norm_matrix=_diff_matrix(_norm_probs(z_s), _norm_probs(z_t), labels, c),
     )
@@ -410,7 +393,7 @@ def write_analysis(result: AnalysisResult, out_dir: Path | str) -> tuple[Path, P
     columns = [result.sample_ids, result.labels]
     for stat in stat_names:
         header += [f"teacher_{stat}", f"student_{stat}"]
-        columns += [result.teacher_stats[stat], result.student_stats[stat]]
+        columns += [getattr(result.teacher_stats, stat), getattr(result.student_stats, stat)]
     # each cell is the repr of a Python int or float; csv formats floats more slowly
     _write_csv(summary_path, tuple(header), zip(*(map(repr, col.tolist()) for col in columns)))
 
@@ -491,13 +474,14 @@ def _loss_instance(name: str, rng: np.random.Generator):
 def gradient_check_suite(
     instances: int = 100,
     step: float = 1e-5,
-    seed: int = 20250809,
     inject_fault: str | None = None,
 ) -> list[tuple[str, float]]:
     """Max finite-difference relative error per loss over random instances.
 
     Returns one (name, max_error) row per implemented loss; every error
-    should sit below GRAD_CHECK_TOLERANCE.  ``inject_fault`` names a loss
+    should sit below GRAD_CHECK_TOLERANCE.  The instances are drawn from
+    GRAD_CHECK_SEED, so every call with the same arguments is identical.
+    ``inject_fault`` names a loss
     whose analytic gradient gets sign-flipped, as a sensitivity self-test
     of the audit itself.
     """
@@ -511,7 +495,7 @@ def gradient_check_suite(
         )
     results = []
     for name in GRAD_CHECK_LOSSES:
-        rng = np.random.default_rng((seed, GRAD_CHECK_LOSSES.index(name)))
+        rng = np.random.default_rng((GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name)))
         worst = 0.0
         for _ in range(instances):
             fn, z_s = _loss_instance(name, rng)

@@ -65,7 +65,10 @@ class LogitCache:
     logits: np.ndarray
 
     def __post_init__(self):
-        logits = np.asarray(self.logits, dtype=np.float64)
+        try:
+            logits = np.asarray(self.logits, dtype=np.float64)
+        except ValueError as exc:  # ragged rows, or entries that are not numbers
+            raise DimensionError(f"logits are not an (N, C) float matrix: {exc}") from None
         if logits.ndim != 2:
             raise DimensionError(f"logits must be 2-D, got shape {logits.shape}")
         n, c = logits.shape
@@ -220,21 +223,20 @@ class LogitSummary:
     sigma_hist_edges: np.ndarray
 
 
-def summarize(
-    cache: LogitCache, corrected: bool = True, bins: int = HISTOGRAM_BINS
-) -> LogitSummary:
+def summarize(cache: LogitCache) -> LogitSummary:
     """Summarize a cache's rows.
 
-    Entropy is that of the T=1 softmax, in nats.  The sigma histogram uses
-    ``bins`` uniform bins over [min, max] of the observed sigmas (numpy
-    widens a degenerate range by 0.5 on each side).
+    Sigma is the corrected (divide by C-1) row std.  Entropy is that of
+    the T=1 softmax, in nats.  The sigma histogram uses ``HISTOGRAM_BINS``
+    uniform bins over [min, max] of the observed sigmas (numpy widens a
+    degenerate range by 0.5 on each side).
     """
     if not len(require_cache(cache, "summarize input")):
         raise ContractError("summarize needs at least one record")
     z = cache.logits
-    sigma = std_rows(z, corrected)[:, 0]
+    sigma = std_rows(z)[:, 0]
     log_p = log_softmax_values(z)
-    counts, edges = np.histogram(sigma, bins=bins, range=(sigma.min(), sigma.max()))
+    counts, edges = np.histogram(sigma, bins=HISTOGRAM_BINS, range=(sigma.min(), sigma.max()))
     return LogitSummary(
         sigma=sigma,
         mu=z.mean(axis=1),

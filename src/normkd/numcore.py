@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import operator
 import weakref
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -89,7 +89,8 @@ def softmax_values(z: Array) -> Array:
 
 
 class Tensor:
-    """A node on a :class:`Tape`: a float64 array plus backward metadata."""
+    """A node on a :class:`Tape`: a float64 array plus backward metadata.
+    It has no operators: nodes combine through ``add``, ``multiply`` etc."""
 
     __slots__ = ("tape", "data", "grad", "_parents", "_vjp", "__weakref__")
 
@@ -100,41 +101,8 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = parents
         self._vjp: Callable[[Array], tuple[Array, ...]] | None = vjp
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, tape_nodes={len(self.tape.nodes)})"
-
-    # binary operators (other side may be a Tensor on the same tape,
-    # an array, or a scalar)
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return subtract(self, other)
-
-    def __rsub__(self, other):
-        return subtract(other, self)
-
-    def __mul__(self, other):
-        return multiply(self, other)
-
-    def __rmul__(self, other):
-        return multiply(other, self)
-
-    def __truediv__(self, other):
-        return divide(self, other)
-
-    def __rtruediv__(self, other):
-        return divide(other, self)
-
-    def __neg__(self):
-        return multiply(self, -1.0)
 
 
 class Tape:
@@ -162,13 +130,13 @@ class Tape:
         """The live nodes in creation order; every leaf is live."""
         return [node for ref in self._refs if (node := ref()) is not None]
 
-    def leaf(self, value, name: str = "leaf") -> Tensor:
+    def leaf(self, value) -> Tensor:
         """Register an input whose gradient will be accumulated.
 
         The tape keeps the leaf alive, so its ``.grad`` is filled even
         when the caller keeps no handle to it.
         """
-        node = Tensor(self, as_array(value, name).copy())
+        node = Tensor(self, as_array(value, "leaf").copy())
         self._leaves.append(node)
         self._refs.append(weakref.ref(node))
         return node
@@ -504,8 +472,3 @@ def grad_check(
 
     rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
     return float(rel.max())
-
-
-def parameter_count(params: Sequence[tuple[Array, Array]]) -> int:
-    """Total scalar count of a (weight, bias) parameter list."""
-    return int(sum(w.size + b.size for w, b in params))

@@ -120,6 +120,20 @@ class TestDistillCommand:
         assert f"{key} is empty" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "command,line,code,message",
+        [
+            ("distill", "student_layers =", 2, "need at least [input, classes] widths, got ()"),
+            ("train-teacher", "teacher_layers = 4,5", 4, "spec class width 5 != dataset classes 3"),
+        ],
+    )
+    def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command, line, code, message):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra=line + "\n", drop=(line.split()[0],))
+        assert main([command, "--config", str(cfg)]) == code
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_dataset_header_exits_3(self, tmp_path, capsys):
         gen_data(tmp_path)
         (tmp_path / "blobs.train.txt").write_text("3 -1 2\n0,1.0\n1,2.0\n")

@@ -315,9 +315,9 @@ class TestAnalyze:
         student = with_logits(teacher, rng.normal(size=(10, 4)))
         result = analyze(teacher, student)
         for i, z in enumerate(teacher.logits):
-            assert result.teacher_stats["sigma"][i] == sample_std(z)
+            assert result.teacher_stats.sigma[i] == sample_std(z)
         for i, z in enumerate(student.logits):
-            assert result.student_stats["sigma"][i] == sample_std(z)
+            assert result.student_stats.sigma[i] == sample_std(z)
 
     def test_mismatched_caches_rejected(self):
         rng = np.random.default_rng(3)
@@ -362,8 +362,8 @@ class TestAnalyze:
         for i, line in enumerate(lines[1:]):
             cells = [str(int(result.sample_ids[i])), str(int(result.labels[i]))]
             for stat in ("sigma", "v_max", "v_min", "entropy"):
-                cells += [repr(float(result.teacher_stats[stat][i])),
-                          repr(float(result.student_stats[stat][i]))]
+                cells += [repr(float(getattr(result.teacher_stats, stat)[i])),
+                          repr(float(getattr(result.student_stats, stat)[i]))]
             assert line == ",".join(cells)
         rows = matrix_path.read_text().splitlines()[1:]
         assert rows[4] == ",".join(

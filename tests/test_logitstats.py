@@ -180,6 +180,7 @@ class TestLogitCache:
             ([0, 1], [0, 0], np.zeros(2)),
             ([0, 1], [0], np.zeros((2, 3))),
             ([0], [0, 0], np.zeros((2, 3))),
+            ([0, 1], [0, 0], [np.zeros(3), np.zeros(4)]),
         ],
     )
     def test_shapes_checked(self, ids, labels, logits):

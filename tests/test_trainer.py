@@ -6,7 +6,6 @@ import pytest
 from normkd.datasets import Dataset, make_blobs
 from normkd.errors import ConfigError, ContractError
 from normkd.logitstats import Fixed, LogitCache, NormStd
-from normkd.numcore import parameter_count
 from normkd.trainer import (
     MlpSpec,
     TrainConfig,
@@ -36,9 +35,6 @@ class TestInitMlp:
         assert len(params) == 1
         x = np.random.default_rng(0).normal(size=(2, 5))
         np.testing.assert_array_equal(forward(params, x), x @ params[0][0] + params[0][1])
-
-    def test_parameter_count(self):
-        assert parameter_count(init_mlp(MlpSpec((4, 8, 3)))) == 4 * 8 + 8 + 8 * 3 + 3
 
     def test_biases_zero_and_weights_bounded(self):
         for w, b in init_mlp(MlpSpec((9, 7, 2), init_seed=3)):
