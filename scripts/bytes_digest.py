@@ -9,9 +9,10 @@ The default digest covers, for every case of the loss grid below, the taped
 ``distill_loss`` values, per-sample weights, tape node count and every
 node's data and grad bytes after backward, plus the same values from the
 untaped (plain-array) call.  It also covers a short teacher training and a
-student training per rule: parameters, history and logit caches.  A case
-that raises contributes its error type and message instead.  Nothing is
-written to disk.
+student training per rule: parameters, history and logit caches; a depth-3
+run at batch 7; and, for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
+every epoch ends on a one-row batch.  A case that raises contributes its
+error type and message instead.  Nothing is written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and
@@ -172,7 +173,14 @@ def trainings(d: Digest) -> int:
         params, history = train(MlpSpec((6, 7, 5, 4), init_seed=2), config, train_ds, cache, val_ds)
         d.part(f"train {spec or 'ce'} depth 3 batch 7")
         d.add(spec, *(a for wb in params for a in wb), repr(history))
-    return 3 + 2 * len(TRAIN_RULES)
+    # every epoch ends on a one-row batch: the run's teacher side indexed by a single row
+    last_one = replace(recipe, batch_size=train_ds.n_samples - 1)
+    for spec in ("multiset:1,2,4", "maxval:1.0"):
+        config = replace(last_one, rule=parse_rule(spec))
+        params, history = train(MlpSpec((6, 5, 4), 3), config, train_ds, cache, val_ds)
+        d.part(f"train {spec} last batch one row")
+        d.add(spec, *(a for wb in params for a in wb), repr(history))
+    return 5 + 2 * len(TRAIN_RULES)
 
 
 DESK_DATA = ["--classes", "10", "--dim", "16", "--per-class", "200", "--separation", "2.0"]

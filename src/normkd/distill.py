@@ -22,10 +22,10 @@ Every loss runs through one dispatch.  ``_softened`` turns a temperature
 rule into one side's log-probabilities and temperature: the global T for
 Fixed, the averaged prediction and the largest T for MultiSet, and the
 (N, 1) column of ``logitstats.row_temperatures`` for the per-sample
-rules.  ``_rule_kld`` applies it to the teacher, then to the student, and
-weights each sample's divergence by its squared teacher temperature.
-``kd_loss``, ``multi_temp_kld``, ``normkd_loss`` and ``distill_loss`` are
-thin wrappers over it.
+rules.  ``teacher_side`` applies it to the teacher (``train`` once per run),
+``_rule_kld`` to the student, weighting each sample's divergence by its
+squared teacher temperature.  ``kd_loss``, ``multi_temp_kld``,
+``normkd_loss`` and ``distill_loss`` are thin wrappers over the two.
 
 The per-sample losses floor each sample's statistic at ``epsilon`` before
 scaling, so no row divides by zero.  That makes a constant row soften to
@@ -154,12 +154,17 @@ def multi_temp_prediction(logits, temps) -> np.ndarray:
     return acc / float(len(temps))
 
 
-def _check_pair(student_logits, teacher_logits) -> tuple[np.ndarray, np.ndarray]:
+def _check_student(student_logits) -> np.ndarray:
     z_s = value_of(student_logits)
     if z_s.ndim != 2:
         raise DimensionError(f"student logits must be (N, C), got shape {z_s.shape}")
-    if not np.all(np.isfinite(z_s)):
+    if not np.isfinite(z_s).all():
         raise NumericError("student logits contain non-finite entries")
+    return z_s
+
+
+def _check_pair(student_logits, teacher_logits) -> tuple[np.ndarray, np.ndarray]:
+    z_s = _check_student(student_logits)
     z_t = as_matrix(teacher_logits, "teacher logits")
     if z_s.shape != z_t.shape:
         raise DimensionError(
@@ -244,18 +249,25 @@ def _softened(rule: TemperatureRule, logits, stat_src, corrected: bool):
     return log_softmax_rows(divide(logits, t)), t
 
 
-def _rule_kld(rule: TemperatureRule, student_logits, z_t, corrected: bool, detach: bool):
+def teacher_side(rule: TemperatureRule, z_t, corrected: bool = True):
+    """``(lp_t, p_t, weights)``: the teacher's softened log-probabilities,
+    probabilities and T_t**2 (a float for Fixed and MultiSet, else an (N, 1)
+    column).  All are row by row: a batch's rows of them equal the batch's own."""
+    lp_t, t_t = _softened(rule, z_t, z_t, corrected)
+    return lp_t, np.exp(lp_t), t_t * t_t
+
+
+def _rule_kld(rule: TemperatureRule, student_logits, teacher, corrected: bool, detach: bool):
     """KL(teacher || student) under ``rule``, each sample weighted by T_t**2.
 
-    Returns the (taped, for a Tensor student) scalar and the weights: a
-    float for Fixed and MultiSet, an (N, 1) column for the per-sample
-    rules.  ``detach`` makes the student's statistic a constant.
+    ``teacher`` is the ``teacher_side`` triple.  Returns the (taped, for a
+    Tensor student) scalar and the weights; ``detach`` makes the student's
+    statistic a constant.
     """
-    lp_t, t_t = _softened(rule, z_t, z_t, corrected)
+    lp_t, p_t, weights = teacher
     stat_src = value_of(student_logits) if detach else student_logits
     lp_s, _ = _softened(rule, student_logits, stat_src, corrected)
-    weights = t_t * t_t
-    return _kld_reduction(np.exp(lp_t), lp_t, lp_s, weights), weights
+    return _kld_reduction(p_t, lp_t, lp_s, weights), weights
 
 
 def kd_loss(
@@ -279,7 +291,7 @@ def multi_temp_kld(student_logits, teacher_logits, temps):
     """
     rule = MultiSet(temps)
     _, z_t = _check_pair(student_logits, teacher_logits)
-    kld, _ = _rule_kld(rule, student_logits, z_t, corrected=True, detach=False)
+    kld, _ = _rule_kld(rule, student_logits, teacher_side(rule, z_t), corrected=True, detach=False)
     return kld if isinstance(kld, Tensor) else float(kld)
 
 
@@ -300,7 +312,8 @@ def normkd_loss(
     """
     rule = NormStd(t_norm, epsilon)
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    kld, weights = _rule_kld(rule, student_logits, z_t, corrected, detach_student_std)
+    teacher = teacher_side(rule, z_t, corrected)
+    kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach_student_std)
     return _report(kld, 0.0, kld, 0.0, 1.0, weights, z_s.shape[0])
 
 
@@ -316,10 +329,17 @@ def distill_loss(
 ) -> LossReport:
     """Dispatch a temperature rule to its loss: alpha*CE + beta*KLD(rule)."""
     z_s, z_t = _check_pair(student_logits, teacher_logits)
+    _as_labels(labels, *z_s.shape)  # cross entropy's label error precedes the teacher side's
+    return side_loss(rule, student_logits, teacher_side(rule, z_t, corrected), labels, alpha, beta,
+                     corrected, detach_student_stat)
+
+
+def side_loss(rule, student_logits, teacher, labels, alpha, beta, corrected, detach) -> LossReport:
+    """``distill_loss`` of a student checked as it checks one, on a ``teacher_side``."""
     ce = cross_entropy(student_logits, labels)
-    kld, weights = _rule_kld(rule, student_logits, z_t, corrected, detach_student_stat)
+    kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach)
     total = add(multiply(ce, alpha), multiply(kld, beta))
-    return _report(total, ce, kld, alpha, beta, weights, z_s.shape[0])
+    return _report(total, ce, kld, alpha, beta, weights, teacher[0].shape[0])
 
 
 def combine(terms):

@@ -21,8 +21,8 @@ Conventions that matter for reproducibility:
 * ``maximum(x, c)`` passes gradient only where ``x > c``;
 * row max/min route gradient to the first extremal index (numpy argmax
   order), which is the measure-zero tie convention;
-* the backward pass walks nodes in reverse creation order, visiting each
-  exactly once, so repeated runs are bit-identical.
+* the backward pass walks nodes in reverse creation order, running once
+  the rule of each node a gradient reached, so repeated runs are bit-identical.
 
 Ownership: a tape holds its leaves; every other node, a root from
 ``Tape.root`` included, lives while something uses it, its caller or a
@@ -51,7 +51,7 @@ Array = np.ndarray
 def as_array(value, name: str = "value") -> Array:
     """Coerce to a float64 array, rejecting non-finite entries."""
     arr = np.asarray(value, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{name} contains non-finite entries")
     return arr
 
@@ -158,11 +158,13 @@ class Tape:
     def backward(self, output: Tensor) -> None:
         """Fill ``.grad`` on every live node with d(output)/d(node).
 
-        ``output`` must be a scalar node of this tape.  Leaves that do not
-        influence the output end up with zero gradient.  Each live node's
-        local backward rule runs exactly once, in reverse creation order.
-        A node nothing uses any more is neither listed nor visited: it is
-        not among ``output``'s ancestors, so its gradient would be zero.
+        ``output`` must be a scalar node of this tape.  In reverse creation
+        order, each node that received a gradient runs its local backward
+        rule once; one that received none, such as a leaf that does not
+        influence the output, gets zeros and runs no rule.  A gradient is
+        its first contribution plus 0.0, then ``+=`` the others: bit for bit
+        their sum onto zeros.  A node nothing uses any more is neither
+        listed nor visited: its gradient would be zero.
         """
         if output.tape is not self:
             raise ContractError("output tensor belongs to a different tape")
@@ -172,14 +174,17 @@ class Tape:
             )
         nodes = self.nodes
         for node in nodes:
-            node.grad = np.zeros_like(node.data)
+            node.grad = None
         output.grad = np.ones_like(output.data)
         for node in reversed(nodes):
-            if node._vjp is None:
-                continue
-            parent_grads = node._vjp(node.grad)
-            for parent, pg in zip(node._parents, parent_grads):
-                parent.grad += pg
+            if node.grad is None:  # its users all come later, and none reached it
+                node.grad = np.zeros_like(node.data)
+            elif node._vjp is not None:
+                for parent, pg in zip(node._parents, node._vjp(node.grad)):
+                    if parent.grad is None:  # ``zeros + pg`` bit for bit, a 0-d sum kept an array
+                        parent.grad = np.asarray(np.add(pg, 0.0))
+                    else:
+                        parent.grad += pg
 
 
 def _split(x) -> tuple[Array, Tensor | None]:
@@ -243,13 +248,14 @@ def _unary(xt: Tensor | None, out: Array, vjp):
 
 def _pick(xd: Array, xt: Tensor | None, col: Array):
     """One entry per row, ``xd[n, col[n, 0]]``; gradient scatters back to it."""
+    rows = np.arange(xd.shape[0])[:, None]
 
     def vjp(g):
         gx = np.zeros_like(xd)
-        np.put_along_axis(gx, col, g, axis=1)
+        gx[rows, col] = g
         return (gx,)
 
-    return _unary(xt, np.take_along_axis(xd, col, axis=1), vjp)
+    return _unary(xt, xd[rows, col], vjp)
 
 
 def add(x, y):
@@ -344,7 +350,7 @@ def mean_all(x):
     xd, xt = _split(x)
     return _unary(
         xt,
-        np.asarray(xd.mean()),
+        np.asarray(np.add.reduce(xd, axis=None) / xd.size),
         lambda g: (np.broadcast_to(g * (1.0 / xd.size), xd.shape).copy(),),
     )
 

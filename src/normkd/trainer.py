@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .distill import _as_labels, cross_entropy, distill_loss
+from .distill import _as_labels, _check_student, cross_entropy, side_loss, teacher_side
 from .errors import ConfigError, ContractError
 from .logitstats import LogitCache, TemperatureRule, require_cache
 from .numcore import Tape, affine, as_array, log_softmax_values, multiply, relu, value_of
@@ -175,27 +175,16 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _plain_ce(config: TrainConfig, teacher_rows) -> bool:
-    """Whether the objective is alpha-scaled cross entropy alone."""
-    return teacher_rows is None or config.beta == 0.0 or config.rule is None
-
-
-def _batch_loss(config: TrainConfig, logits, labels, teacher_rows):
-    """Scalar loss node plus (ce, kld) floats for the history."""
-    if _plain_ce(config, teacher_rows):
+def _batch_loss(config: TrainConfig, logits, labels, teacher):
+    """Scalar loss node plus (ce, kld) floats; ``teacher`` is a ``teacher_side``
+    triple, or None for alpha-scaled cross entropy alone."""
+    if teacher is None:
         ce = cross_entropy(logits, labels)
         total = multiply(ce, config.alpha)
         return total, float(value_of(ce)), 0.0
-    report = distill_loss(
-        config.rule,
-        logits,
-        teacher_rows,
-        labels,
-        alpha=config.alpha,
-        beta=config.beta,
-        corrected=config.std_corrected,
-        detach_student_stat=config.detach_student_stat,
-    )
+    _check_student(logits)
+    report = side_loss(config.rule, logits, teacher, labels, config.alpha, config.beta,
+                       config.std_corrected, config.detach_student_stat)
     return report.node if report.node is not None else report.total, report.ce_part, report.kld_part
 
 
@@ -234,7 +223,7 @@ def _ce_logit_grad(logits, labels, alpha: float) -> np.ndarray:
     return np.add(g - np.exp(log_p) * g.sum(axis=1, keepdims=True), 0.0)
 
 
-def _step_grads(config: TrainConfig, params: Params, x, labels, teacher_rows) -> Params:
+def _step_grads(config: TrainConfig, params: Params, x, labels, teacher) -> Params:
     """The batch loss's gradient for every (weight, bias), bit-identical to
     taping ``forward`` and ``_batch_loss`` and calling ``Tape.backward``.
 
@@ -253,13 +242,13 @@ def _step_grads(config: TrainConfig, params: Params, x, labels, teacher_rows) ->
             h = np.maximum(h, 0.0)
         inputs.append(h)
         h = h @ w + b
-    if _plain_ce(config, teacher_rows):
+    if teacher is None:
         labels = _as_labels(labels, h.shape[0], h.shape[1])
         g = _ce_logit_grad(h, labels, config.alpha)
     else:
         tape = Tape()
         logits = tape.root(h)
-        loss, _, _ = _batch_loss(config, logits, labels, teacher_rows)
+        loss, _, _ = _batch_loss(config, logits, labels, teacher)
         tape.backward(loss)
         g = logits.grad
     grads: Params = []
@@ -308,6 +297,10 @@ def train(
     history: TrainHistory = []
     if config.epochs == 0:
         return params, history
+    if config.beta == 0.0 or config.rule is None:  # alpha-scaled cross entropy alone
+        teacher = None
+    elif teacher is not None:  # constant and row by row: built once per run, indexed per batch
+        teacher = teacher_side(config.rule, teacher, config.std_corrected)
 
     momentum_bufs = [(np.zeros_like(w), np.zeros_like(b)) for (w, b) in params]
     lr = config.learning_rate
@@ -319,8 +312,9 @@ def train(
         order = _epoch_order(config.seed, epoch, train_data.n_samples)
         for start in range(0, order.size, config.batch_size):
             idx = order[start : start + config.batch_size]
-            teacher_rows = teacher[idx] if teacher is not None else None
-            grads = _step_grads(config, params, x_all[idx], y_all[idx], teacher_rows)
+            rows = None if teacher is None else tuple(
+                a[idx] if isinstance(a, np.ndarray) else a for a in teacher)
+            grads = _step_grads(config, params, x_all[idx], y_all[idx], rows)
             for (w, b), (gw, gb), (vw, vb) in zip(params, grads, momentum_bufs):
                 for p, g, v in ((w, gw, vw), (b, gb, vb)):
                     g = g + config.weight_decay * p

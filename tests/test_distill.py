@@ -14,6 +14,7 @@ from normkd.distill import (
     norm_soften,
     normkd_loss,
     soften,
+    teacher_side,
 )
 from normkd.errors import ContractError, DimensionError, NumericError
 from normkd.logitstats import Fixed, MaxVal, MultiSet, NormStd, Range, temperature_for
@@ -541,3 +542,33 @@ class TestTeacherSideRowSubsets:
             assert lp.tobytes() == lp_all[idx].tobytes()
             assert np.exp(lp).tobytes() == p_all[idx].tobytes()
             assert np.broadcast_to(t, (idx.size, 1)).tobytes() == t_all[idx].tobytes()
+
+
+class TestTeacherSideOncePerRun:
+    """``teacher_side`` of a whole logit matrix, indexed by a batch as
+    ``train`` indexes it, equals ``teacher_side`` of the batch's own rows
+    by ``.tobytes()``: log-probabilities, probabilities and weights."""
+
+    @pytest.mark.parametrize("c", [2, 3, 10])
+    @pytest.mark.parametrize("corrected", [True, False])
+    @pytest.mark.parametrize(
+        "rule",
+        [Fixed(4.0), MultiSet((1.0, 2.0, 4.0)), NormStd(2.0), MaxVal(1.0), Range(1.0)],
+        ids=["fixed", "multiset", "normstd", "maxval", "range"],
+    )
+    def test_indexed_triple_equals_batch_triple(self, rule, corrected, c):
+        n = 60
+        rng = np.random.default_rng([c, n, corrected])
+        z = (rng.normal(0.0, 2.0, size=(n, c)) + 4.0).astype(np.float32).astype(np.float64)
+        z[::7] = z[::7, :1]  # constant rows: the floored statistic
+        lp_all, p_all, w_all = teacher_side(rule, z, corrected)
+        for size in (1, 1, 1, 7, 16, n):
+            idx = rng.permutation(n)[:size]
+            lp, p, w = teacher_side(rule, z[idx], corrected)
+            assert lp.tobytes() == lp_all[idx].tobytes()
+            assert p.tobytes() == p_all[idx].tobytes()
+            if isinstance(rule, (Fixed, MultiSet)):
+                assert type(w) is float and np.float64(w).tobytes() == np.float64(w_all).tobytes()
+            else:
+                assert w.shape == (size, 1)
+                assert w.tobytes() == w_all[idx].tobytes()

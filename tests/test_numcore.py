@@ -120,6 +120,24 @@ class TestBackward:
         tape.backward(sum_all(x))
         np.testing.assert_array_equal(unused.grad, np.zeros(4))
 
+    def test_every_live_grad_is_an_array_of_its_nodes_shape_and_dtype(self):
+        """0-d nodes included.  A live node no gradient reached, and one
+        whose only contribution is -0.0, read +0.0 bytes."""
+        rng = np.random.default_rng(61)
+        tape = Tape()
+        x = tape.leaf(rng.normal(size=(4, 3)))
+        s = tape.leaf(np.array(0.7))
+        z = tape.leaf(rng.normal(size=(2, 2)))
+        unused = tape.leaf(rng.normal(size=(2, 5)))
+        dead_end = exp(multiply(x, 0.5))
+        out = add(mean_all(multiply(max_rows(x), s)), sum_all(multiply(z, -0.0)))
+        tape.backward(out)
+        for node in tape.nodes:
+            assert type(node.grad) is np.ndarray
+            assert (node.grad.shape, node.grad.dtype) == (node.data.shape, node.data.dtype)
+        for node in (z, unused, dead_end):
+            assert node.grad.tobytes() == np.zeros(node.data.shape).tobytes()
+
     def test_non_scalar_output_rejected(self):
         tape = Tape()
         x = tape.leaf(np.arange(3.0))

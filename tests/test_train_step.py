@@ -3,7 +3,9 @@
 ``taped_grads`` is the reference: every parameter becomes a ``Tape.leaf``,
 ``forward`` and ``_batch_loss`` run on the tape, and ``Tape.backward``
 fills the leaves' gradients.  ``reference_train`` is ``train`` with that
-step.  Arrays are compared by ``.tobytes()``, because
+step, and with the teacher side built from each batch's own rows (and
+each record's whole matrix), where ``train`` builds it once per run and
+indexes it.  Arrays are compared by ``.tobytes()``, because
 ``assert_array_equal`` takes -0.0 for 0.0.
 """
 
@@ -12,6 +14,7 @@ import pytest
 
 from normkd import trainer
 from normkd.datasets import make_blobs
+from normkd.distill import teacher_side
 from normkd.errors import NumericError
 from normkd.logitstats import parse_rule
 from normkd.numcore import Tape
@@ -28,12 +31,19 @@ from normkd.trainer import (
 )
 
 
-def taped_grads(config, params, x, labels, teacher_rows):
+def taped_grads(config, params, x, labels, batch_side):
     tape = Tape()
     leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params]
-    loss, _, _ = _batch_loss(config, forward(leaves, x), labels, teacher_rows)
+    loss, _, _ = _batch_loss(config, forward(leaves, x), labels, batch_side)
     tape.backward(loss)
     return [(wl.grad, bl.grad) for wl, bl in leaves]
+
+
+def side(config, rows):
+    """The ``teacher_side`` triple of raw teacher rows, or None for plain CE."""
+    if rows is None or config.beta == 0.0 or config.rule is None:
+        return None
+    return teacher_side(config.rule, rows, config.std_corrected)
 
 
 def reference_train(spec, config, train_data, teacher=None, val_data=None, check_step=False):
@@ -50,10 +60,10 @@ def reference_train(spec, config, train_data, teacher=None, val_data=None, check
         order = _epoch_order(config.seed, epoch, train_data.n_samples)
         for start in range(0, order.size, config.batch_size):
             idx = order[start : start + config.batch_size]
-            teacher_rows = teacher[idx] if teacher is not None else None
-            grads = taped_grads(config, params, x_all[idx], y_all[idx], teacher_rows)
+            batch_side = side(config, teacher[idx] if teacher is not None else None)
+            grads = taped_grads(config, params, x_all[idx], y_all[idx], batch_side)
             if check_step:
-                got = trainer._step_grads(config, params, x_all[idx], y_all[idx], teacher_rows)
+                got = trainer._step_grads(config, params, x_all[idx], y_all[idx], batch_side)
                 assert [(gw.tobytes(), gb.tobytes()) for gw, gb in got] == [
                     (gw.tobytes(), gb.tobytes()) for gw, gb in grads
                 ], f"gradient bytes differ at epoch {epoch}, row {start}"
@@ -63,7 +73,8 @@ def reference_train(spec, config, train_data, teacher=None, val_data=None, check
                     v *= config.momentum
                     v += g
                     p -= lr * (g + config.momentum * v)
-        history.append(_split_record(epoch, "train", config, params, train_data, teacher))
+        train_side = side(config, teacher)
+        history.append(_split_record(epoch, "train", config, params, train_data, train_side))
         if val_data is not None:
             history.append(_split_record(epoch, "val", config, params, val_data, None))
     return params, history
