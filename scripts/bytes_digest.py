@@ -11,8 +11,11 @@ node's data and grad bytes after backward, plus the same values from the
 untaped (plain-array) call.  It also covers a short teacher training and a
 student training per rule: parameters, history and logit caches; a depth-3
 run at batch 7; and, for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
-every epoch ends on a one-row batch.  A case that raises contributes its
-error type and message instead.  Nothing is written to disk.
+every epoch ends on a one-row batch.  Last come ``cache_teacher_logits`` and
+``evaluate`` at the perfbench big_cache widths (32-64-100 and 32-16-100) on
+16,384 rows, where OpenBLAS picks its matmul kernel by thread count.  A case
+that raises contributes its error type and message instead.  Nothing is
+written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and
@@ -183,6 +186,22 @@ def trainings(d: Digest) -> int:
     return 5 + 2 * len(TRAIN_RULES)
 
 
+BIG_WIDTHS = ((32, 64, 100), (32, 16, 100))
+BIG_ROWS = 16384
+
+
+def big_forwards(d: Digest) -> int:
+    from normkd import Dataset, MlpSpec, cache_teacher_logits, evaluate, init_mlp
+
+    rng = np.random.default_rng(17)
+    data = Dataset(rng.normal(0.0, 2.0, size=(BIG_ROWS, 32)), rng.integers(0, 100, BIG_ROWS), 100)
+    for seed, widths in enumerate(BIG_WIDTHS):
+        params = init_mlp(MlpSpec(widths, init_seed=seed))
+        d.part(f"forward {'-'.join(map(str, widths))} n={BIG_ROWS}")
+        d.add(widths, cache_teacher_logits(params, data).logits, evaluate(params, data))
+    return len(BIG_WIDTHS)
+
+
 DESK_DATA = ["--classes", "10", "--dim", "16", "--per-class", "200", "--separation", "2.0"]
 DESK_RECIPE = {
     "train_data": "demo.train.txt",
@@ -324,7 +343,8 @@ def main(argv=None) -> int:
     if args.cli:
         summary = f"{cli_parts(d)} CLI commands"
     else:
-        summary = f"{loss_grid(d)} loss cases, {trainings(d)} training runs"
+        summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
+                   f"{big_forwards(d)} large-batch forwards")
     if args.each:
         for name, h in d.parts.items():
             print(f"{h.hexdigest()}  {name}")

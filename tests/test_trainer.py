@@ -1,10 +1,12 @@
 """Training loop: determinism, optimizer semantics, history, caching."""
 
+import re
+
 import numpy as np
 import pytest
 
 from normkd.datasets import Dataset, make_blobs
-from normkd.errors import ConfigError, ContractError
+from normkd.errors import ConfigError, ContractError, DimensionError
 from normkd.logitstats import Fixed, LogitCache, NormStd
 from normkd.trainer import (
     MlpSpec,
@@ -46,6 +48,33 @@ class TestInitMlp:
             MlpSpec((4,))
         with pytest.raises(ConfigError):
             MlpSpec((4, 0, 2))
+
+
+def _misfit_params(kind):
+    """4-6-3 params that do not fit 4-feature input, and the weight shape named."""
+    (w0, b0), (w1, b1) = init_mlp(MlpSpec((4, 6, 3), init_seed=0))
+    if kind == "input_width":
+        return [(w0[:3], b0), (w1, b1)], (3, 6)
+    if kind == "hidden_width":
+        return [(w0, b0), (w1[:5], b1)], (5, 3)
+    return [(w0, b0[:5]), (w1, b1)], (4, 6)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, data: forward(params, data.features),
+        evaluate,
+        cache_teacher_logits,
+    ],
+    ids=["forward", "evaluate", "cache_teacher_logits"],
+)
+@pytest.mark.parametrize("kind", ["input_width", "hidden_width", "bias_length"])
+def test_params_that_do_not_fit_the_input_raise_dimension_error(call, kind):
+    train_ds, _ = tiny_dataset()
+    params, weight_shape = _misfit_params(kind)
+    with pytest.raises(DimensionError, match=re.escape(str(weight_shape))):
+        call(params, train_ds)
 
 
 class TestTrainConfigValidation:
