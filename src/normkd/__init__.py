@@ -3,8 +3,10 @@
 The library softens each sample's logits by a temperature tied to that
 sample's own logit spread (its standard deviation, maximum, or range)
 instead of one global constant, and trains small teacher/student MLPs
-against the resulting objectives with a tape-based float64 autodiff
-engine.  See the README for the file formats and the CLI.
+against the resulting objectives.  A float64 tape differentiates the
+losses with respect to the logits; the MLP runs on plain arrays, and its
+backward is replayed by hand.  See the README for the file formats and
+the CLI.
 """
 
 from .datasets import Dataset, make_blobs, read_dataset, write_dataset
@@ -54,7 +56,7 @@ from .logitstats import (
     summarize,
     temperature_for,
 )
-from .numcore import Tape, Tensor, affine, grad_check, relu
+from .numcore import Tape, Tensor, grad_check
 from .trainer import (
     EpochRecord,
     MlpSpec,

@@ -64,7 +64,7 @@ from .datasets import Dataset, read_dataset
 from .distill import combine, kd_loss, multi_temp_kld, normkd_loss, distill_loss
 from .errors import ConfigError, ContractError
 from .ioutil import atomic_write_text
-from .logitcache import read_logit_cache, write_logit_cache
+from .logitcache import float32_logits, read_logit_cache, write_logit_cache
 from .logitstats import (
     LogitCache,
     LogitSummary,
@@ -237,14 +237,23 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
     _write_csv(Path(path), ("epoch", "split", "ce", "kld", "total", "top1"), rows)
 
 
+def _write_caches(seed_dir: Path, role: str, params, train_ds: Dataset, val_ds: Dataset) -> None:
+    """Write ``<role>.train.nkdl`` and ``<role>.val.nkdl``; ``seed_dir`` is made
+    only once both caches have passed every check a write makes."""
+    caches = [cache_teacher_logits(params, data) for data in (train_ds, val_ds)]
+    for cache in caches:
+        float32_logits(cache)
+    seed_dir.mkdir(parents=True, exist_ok=True)
+    for split, cache in zip(("train", "val"), caches):
+        write_logit_cache(seed_dir / f"{role}.{split}.nkdl", cache)
+
+
 def _train_teacher_for_seed(
     cfg: ExperimentConfig, seed: int, train_ds: Dataset, val_ds: Dataset, seed_dir: Path
 ) -> tuple[LogitCache, TrainHistory, float]:
     spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
     params, history = train(spec, replace(cfg.teacher, seed=seed), train_ds, None, val_ds)
-    seed_dir.mkdir(parents=True, exist_ok=True)
-    write_logit_cache(seed_dir / "teacher.train.nkdl", cache_teacher_logits(params, train_ds))
-    write_logit_cache(seed_dir / "teacher.val.nkdl", cache_teacher_logits(params, val_ds))
+    _write_caches(seed_dir, "teacher", params, train_ds, val_ds)
     # distill from the serialized float32 values, not the in-memory float64 ones
     cache = read_logit_cache(seed_dir / "teacher.train.nkdl")
     return cache, history, evaluate(params, val_ds)
@@ -289,10 +298,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         params, history = train(
             spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
         )
-        seed_dir.mkdir(parents=True, exist_ok=True)
+        _write_caches(seed_dir, "student", params, train_ds, val_ds)
         write_history_csv(seed_dir / "history.csv", history)
-        write_logit_cache(seed_dir / "student.train.nkdl", cache_teacher_logits(params, train_ds))
-        write_logit_cache(seed_dir / "student.val.nkdl", cache_teacher_logits(params, val_ds))
         rows.append((str(seed), name, params_label, repr(evaluate(params, val_ds))))
     return _write_summary(cfg, "summary.csv", rows)
 

@@ -34,14 +34,11 @@ def _record_dtype(c: int) -> np.dtype:
     return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))])
 
 
-def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
-    """Write a cache; ids must fit u32 and logits the float32 range.
-
-    Every check runs before the file is touched.
-    """
+def float32_logits(cache: LogitCache) -> np.ndarray:
+    """The logits as written, after every check a write makes: a nonempty
+    cache, ids that fit u32 and logits in the float32 range."""
     if not len(require_cache(cache, "write_logit_cache input")):
         raise ContractError("refusing to write an empty logit cache")
-    n, c = cache.logits.shape
     bad_id = (cache.sample_ids < 0) | (cache.sample_ids >= _ID_LIMIT)
     if bad_id.any():
         i = int(bad_id.argmax())
@@ -54,6 +51,13 @@ def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
     if overflow.any():
         i = int(overflow.argmax())
         raise NumericError(f"record {i} has logits outside the float32 range")
+    return narrowed
+
+
+def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
+    """Write a cache; every check of ``float32_logits`` runs before the file is touched."""
+    narrowed = float32_logits(cache)
+    n, c = narrowed.shape
     body = np.empty(n, dtype=_record_dtype(c))
     body["sample_id"] = cache.sample_ids
     body["label"] = cache.labels

@@ -26,7 +26,7 @@ It is the only type that carries logits across a module boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -112,12 +112,17 @@ def _require_positive(value: float, name: str) -> None:
         raise ContractError(f"{name} must be strictly positive, got {value}")
 
 
-@dataclass(frozen=True)
-class Fixed:
-    temperature: float
+class _PositiveFields:
+    """A rule whose every field must be strictly positive, checked in field order."""
 
     def __post_init__(self):
-        _require_positive(self.temperature, "temperature")
+        for f in fields(self):
+            _require_positive(getattr(self, f.name), f.name)
+
+
+@dataclass(frozen=True)
+class Fixed(_PositiveFields):
+    temperature: float
 
 
 @dataclass(frozen=True)
@@ -134,33 +139,21 @@ class MultiSet:
 
 
 @dataclass(frozen=True)
-class NormStd:
+class NormStd(_PositiveFields):
     t_norm: float = 2.0
     epsilon: float = DEFAULT_EPSILON
 
-    def __post_init__(self):
-        _require_positive(self.t_norm, "t_norm")
-        _require_positive(self.epsilon, "epsilon")
-
 
 @dataclass(frozen=True)
-class MaxVal:
+class MaxVal(_PositiveFields):
     t_v: float = 1.0
     epsilon: float = DEFAULT_EPSILON
 
-    def __post_init__(self):
-        _require_positive(self.t_v, "t_v")
-        _require_positive(self.epsilon, "epsilon")
-
 
 @dataclass(frozen=True)
-class Range:
+class Range(_PositiveFields):
     t_v: float = 1.0
     epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        _require_positive(self.t_v, "t_v")
-        _require_positive(self.epsilon, "epsilon")
 
 
 TemperatureRule = Fixed | MultiSet | NormStd | MaxVal | Range
@@ -248,6 +241,10 @@ def summarize(cache: LogitCache) -> LogitSummary:
     )
 
 
+# every rule but MultiSet, whose parameters are one comma-separated field
+_RULES = {"fixed": Fixed, "normstd": NormStd, "maxval": MaxVal, "range": Range}
+
+
 def parse_rule(text: str) -> TemperatureRule:
     """Parse a rule spec like ``fixed:4``, ``multiset:1,2,4``, ``normstd:2.0``.
 
@@ -257,18 +254,15 @@ def parse_rule(text: str) -> TemperatureRule:
     name, sep, rest = text.strip().partition(":")
     name = name.lower()
     try:
-        if name == "fixed":
-            return Fixed(float(rest))
         if name == "multiset":
             return MultiSet(tuple(float(p) for p in rest.split(",")))
-        if name in ("normstd", "maxval", "range"):
+        if name == "fixed":
+            return Fixed(float(rest))
+        if name in _RULES:
             parts = rest.split(":") if sep else []
-            scale = float(parts[0]) if parts and parts[0] else None
+            scale = (float(parts[0]),) if parts and parts[0] else ()
             eps = float(parts[1]) if len(parts) > 1 else DEFAULT_EPSILON
-            cls = {"normstd": NormStd, "maxval": MaxVal, "range": Range}[name]
-            if scale is None:
-                return cls(epsilon=eps)
-            return cls(scale, eps)
+            return _RULES[name](*scale, epsilon=eps)
     except (ValueError, ContractError) as exc:
         raise ConfigError(f"bad temperature rule {text!r}: {exc}") from exc
     raise ConfigError(f"unknown temperature rule {text!r}")
@@ -278,14 +272,9 @@ def rule_label(rule: TemperatureRule | None) -> tuple[str, str]:
     """(name, params) pair used in CSV rows; round-trips through parse_rule."""
     if rule is None:
         return "none", ""
-    if isinstance(rule, Fixed):
-        return "fixed", repr(rule.temperature)
     if isinstance(rule, MultiSet):
         return "multiset", ",".join(repr(t) for t in rule.temperatures)
-    if isinstance(rule, NormStd):
-        return "normstd", f"{rule.t_norm!r}:{rule.epsilon!r}"
-    if isinstance(rule, MaxVal):
-        return "maxval", f"{rule.t_v!r}:{rule.epsilon!r}"
-    if isinstance(rule, Range):
-        return "range", f"{rule.t_v!r}:{rule.epsilon!r}"
+    for name, cls in _RULES.items():
+        if isinstance(rule, cls):
+            return name, ":".join(repr(getattr(rule, f.name)) for f in fields(rule))
     raise ContractError(f"unknown temperature rule {rule!r}")

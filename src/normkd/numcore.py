@@ -4,8 +4,10 @@ Every primitive in this module accepts any mix of :class:`Tensor` handles
 and plain numpy arrays (or scalars).  When at least one argument is a
 Tensor the result is a Tensor recorded on that argument's tape; when all
 arguments are plain values the same numpy computation runs untaped and the
-raw array comes back.  Loss and model code is therefore written once and
-works both for training (gradients needed) and for evaluation.
+raw array comes back.  Loss code is therefore written once and works both
+for training, differentiated with respect to the logits, and for
+evaluation.  The MLP that makes the logits is not taped: its backward is
+the trainer's plain-array replay.
 
 A primitive is a forward value plus a backward rule ``g -> (grad, ...)``,
 one gradient per taped parent, recorded by ``_binary`` (two broadcasting
@@ -17,8 +19,8 @@ backward time and get the bits it would have got in the forward.
 Conventions that matter for reproducibility:
 
 * all values are float64; inputs are validated/coerced at the boundary;
-* ReLU uses subgradient 0 at exactly 0;
-* ``maximum(x, c)`` passes gradient only where ``x > c``;
+* ``maximum(x, c)`` passes gradient only where ``x > c``, so
+  ``maximum(x, 0.0)``, a ReLU, has subgradient 0 at exactly 0;
 * row max/min route gradient to the first extremal index (numpy argmax
   order), which is the measure-zero tie convention;
 * the backward pass walks nodes in reverse creation order, running once
@@ -193,18 +195,6 @@ def _split(x) -> tuple[Array, Tensor | None]:
     return np.asarray(x, dtype=np.float64), None
 
 
-def _tape_of(*tensors: Tensor | None) -> Tape | None:
-    tape = None
-    for t in tensors:
-        if t is None:
-            continue
-        if tape is None:
-            tape = t.tape
-        elif t.tape is not tape:
-            raise ContractError("operands live on different tapes")
-    return tape
-
-
 def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     """Reduce a broadcast gradient back to the operand's shape."""
     extra = grad.ndim - len(shape)
@@ -222,13 +212,12 @@ def _binary(x, y, forward, grad_x, grad_y):
     xd, xt = _split(x)
     yd, yt = _split(y)
     out = forward(xd, yd)
-    tape = _tape_of(xt, yt)
-    if tape is None:
-        return out
     if yt is None:
-        return tape._record(out, (xt,), lambda g: (_unbroadcast(grad_x(g, xd, yd), xd.shape),))
+        return _unary(xt, out, lambda g: (_unbroadcast(grad_x(g, xd, yd), xd.shape),))
     if xt is None:
-        return tape._record(out, (yt,), lambda g: (_unbroadcast(grad_y(g, xd, yd), yd.shape),))
+        return _unary(yt, out, lambda g: (_unbroadcast(grad_y(g, xd, yd), yd.shape),))
+    if xt.tape is not yt.tape:
+        raise ContractError("operands live on different tapes")
 
     def vjp(g):
         return (
@@ -236,7 +225,7 @@ def _binary(x, y, forward, grad_x, grad_y):
             _unbroadcast(grad_y(g, xd, yd), yd.shape),
         )
 
-    return tape._record(out, (xt, yt), vjp)
+    return xt.tape._record(out, (xt, yt), vjp)
 
 
 def _unary(xt: Tensor | None, out: Array, vjp):
@@ -274,50 +263,6 @@ def divide(x, y):
     return _binary(
         x, y, operator.truediv, lambda g, xd, yd: g / yd, lambda g, xd, yd: -g * xd / (yd * yd)
     )
-
-
-def affine(x, weight, bias):
-    """``x @ weight + bias`` with gradients for all three arguments.
-
-    Shapes: x is (N, D), weight is (D, H), bias is (H,).
-    """
-    xd, xt = _split(x)
-    wd, wt = _split(weight)
-    bd, bt = _split(bias)
-    if xd.ndim != 2 or wd.ndim != 2:
-        raise DimensionError(
-            f"affine expects 2-D input and weight, got {xd.shape} and {wd.shape}"
-        )
-    if xd.shape[1] != wd.shape[0]:
-        raise DimensionError(
-            f"affine: input shape {xd.shape} incompatible with weight shape {wd.shape}"
-        )
-    if bd.ndim != 1 or bd.shape[0] != wd.shape[1]:
-        raise DimensionError(
-            f"affine: bias shape {bd.shape} incompatible with weight shape {wd.shape}"
-        )
-    out = xd @ wd + bd
-    tape = _tape_of(xt, wt, bt)
-    if tape is None:
-        return out
-
-    def vjp(g):
-        grads = []
-        if xt is not None:
-            grads.append(g @ wd.T)
-        if wt is not None:
-            grads.append(xd.T @ g)
-        if bt is not None:
-            grads.append(g.sum(axis=0))
-        return tuple(grads)
-
-    parents = tuple(t for t in (xt, wt, bt) if t is not None)
-    return tape._record(out, parents, vjp)
-
-
-def relu(x):
-    xd, xt = _split(x)
-    return _unary(xt, np.maximum(xd, 0.0), lambda g: (g * (xd > 0.0),))
 
 
 def exp(x):

@@ -10,11 +10,13 @@ Distillation uses a cache of precomputed teacher logits; the teacher is
 never run online.  With no cache (or beta = 0, or no rule) the objective
 is plain cross entropy scaled by alpha.
 
-A training step runs the MLP untaped and replays its backward on plain
-arrays, in the tape's order and with the tape's numpy expressions, so the
-parameters come out bit-identical to a fully taped step.  A plain-CE step
-builds no tape at all: it replays cross entropy's backward as well.  A
-distilling step tapes only the loss, with the logits as its root node.
+The MLP has one forward, on plain arrays: ``_layers``, which ``forward``
+checks shapes for.  A training step runs it, keeping each layer's input,
+and replays its backward on plain arrays, in the order and with the numpy
+expressions of a tape, so the parameters come out bit-identical to a
+fully taped step.  A plain-CE step builds no tape at all: it replays
+cross entropy's backward as well.  A distilling step tapes only the loss,
+with the logits as its root node.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import numpy as np
 
 from .datasets import Dataset
 from .distill import _as_labels, _check_student, cross_entropy, side_loss, teacher_side
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, DimensionError
 from .logitstats import LogitCache, TemperatureRule, require_cache
-from .numcore import Tape, affine, as_array, log_softmax_values, multiply, relu, value_of
+from .numcore import Tape, as_array, log_softmax_values, multiply, value_of
 
 
 @dataclass(frozen=True)
@@ -125,15 +127,30 @@ def init_mlp(spec: MlpSpec) -> Params:
     return params
 
 
-def forward(params, x):
-    """MLP logits; ReLU between layers, none after the last."""
+def _layers(params: Params, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The MLP's logits and each layer's input: ``h @ w + b`` per layer,
+    ``np.maximum(h, 0.0)`` between layers and none after the last."""
+    inputs = []
     h = x
-    last = len(params) - 1
+    for w, b in params:
+        if inputs:
+            h = np.maximum(h, 0.0)
+        inputs.append(h)
+        h = h @ w + b
+    return h, inputs
+
+
+def forward(params: Params, x) -> np.ndarray:
+    """MLP logits of an (N, D) input; params that do not fit it are a DimensionError."""
+    x = np.asarray(x, dtype=np.float64)
+    shape = x.shape
     for i, (w, b) in enumerate(params):
-        h = affine(h, w, b)
-        if i < last:
-            h = relu(h)
-    return h
+        if x.ndim != 2 or w.ndim != 2 or shape[1] != w.shape[0] or b.shape != w.shape[1:]:
+            raise DimensionError(
+                f"layer {i} does not fit: input {shape}, weight {w.shape}, bias {b.shape}"
+            )
+        shape = (shape[0], w.shape[1])
+    return _layers(params, x)[0]
 
 
 def evaluate(params: Params, data: Dataset) -> float:
@@ -225,7 +242,8 @@ def _ce_logit_grad(logits, labels, alpha: float) -> np.ndarray:
 
 def _step_grads(config: TrainConfig, params: Params, x, labels, teacher) -> Params:
     """The batch loss's gradient for every (weight, bias), bit-identical to
-    taping ``forward`` and ``_batch_loss`` and calling ``Tape.backward``.
+    taping the MLP (one ``x @ w + b`` node per layer, ``maximum(h, 0.0)``
+    between) and ``_batch_loss``, and calling ``Tape.backward``.
 
     A plain-CE step builds no tape.  Otherwise a tape holds only the loss,
     and the gradient reaching the logits comes from its backward.  The
@@ -235,13 +253,7 @@ def _step_grads(config: TrainConfig, params: Params, x, labels, teacher) -> Para
     for w, b in params:
         as_array(w, "leaf")
         as_array(b, "leaf")
-    inputs = []
-    h = x
-    for w, b in params:
-        if inputs:
-            h = np.maximum(h, 0.0)
-        inputs.append(h)
-        h = h @ w + b
+    h, inputs = _layers(params, x)
     if teacher is None:
         labels = _as_labels(labels, h.shape[0], h.shape[1])
         g = _ce_logit_grad(h, labels, config.alpha)

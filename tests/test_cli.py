@@ -125,6 +125,9 @@ class TestDistillCommand:
         [
             ("distill", "student_layers =", 2, "need at least [input, classes] widths, got ()"),
             ("train-teacher", "teacher_layers = 4,5", 4, "spec class width 5 != dataset classes 3"),
+            ("distill", "learning_rate = 1e30", 4, "record 0 has logits outside the float32 range"),
+            ("train-teacher", "learning_rate = 1e30", 4,
+             "record 0 has logits outside the float32 range"),
         ],
     )
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command, line, code, message):

@@ -1,8 +1,8 @@
 """The untaped training step against the taped step it replays.
 
 ``taped_grads`` is the reference: every parameter becomes a ``Tape.leaf``,
-``forward`` and ``_batch_loss`` run on the tape, and ``Tape.backward``
-fills the leaves' gradients.  ``reference_train`` is ``train`` with that
+``taped_forward`` (the MLP recorded node by node) and ``_batch_loss`` run on
+the tape, and ``Tape.backward`` fills the leaves' gradients.  ``reference_train`` is ``train`` with that
 step, and with the teacher side built from each batch's own rows (and
 each record's whole matrix), where ``train`` builds it once per run and
 indexes it.  Arrays are compared by ``.tobytes()``, because
@@ -17,7 +17,7 @@ from normkd.datasets import make_blobs
 from normkd.distill import teacher_side
 from normkd.errors import NumericError
 from normkd.logitstats import parse_rule
-from normkd.numcore import Tape
+from normkd.numcore import Tape, Tensor, grad_check, maximum, sum_all
 from normkd.trainer import (
     MlpSpec,
     TrainConfig,
@@ -25,16 +25,52 @@ from normkd.trainer import (
     _epoch_order,
     _split_record,
     cache_teacher_logits,
-    forward,
     init_mlp,
     train,
 )
 
 
+def taped_affine(x, w, b):
+    """``x @ w + b`` as one node on its Tensors' tape, or a plain array when
+    none is taped.  Each taped argument's gradient, in (x, w, b) order, is
+    ``g @ w.T``, ``x.T @ g`` or ``g.sum(axis=0)``."""
+    (xd, xt), (wd, wt), (bd, bt) = (
+        (a.data, a) if isinstance(a, Tensor) else (np.asarray(a, dtype=np.float64), None)
+        for a in (x, w, b)
+    )
+    out = xd @ wd + bd
+    rules = ((xt, lambda g: g @ wd.T), (wt, lambda g: xd.T @ g), (bt, lambda g: g.sum(axis=0)))
+    rules = [(t, rule) for t, rule in rules if t is not None]
+    if not rules:
+        return out
+    parents = tuple(t for t, _ in rules)
+    return parents[0].tape._record(out, parents, lambda g: tuple(rule(g) for _, rule in rules))
+
+
+def taped_forward(params, x):
+    """``trainer.forward`` on a tape: ``taped_affine`` per layer, ``maximum(h, 0.0)`` between."""
+    h = x
+    for i, (w, b) in enumerate(params):
+        if i:
+            h = maximum(h, 0.0)
+        h = taped_affine(h, w, b)
+    return h
+
+
+def test_taped_affine_gradients_match_finite_differences():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, 4))
+    w = rng.normal(size=(4, 2))
+    b = rng.normal(size=2)
+    assert grad_check(lambda t: sum_all(taped_affine(t, w, b)), x) < 1e-8
+    assert grad_check(lambda t: sum_all(taped_affine(x, t, b)), w) < 1e-8
+    assert grad_check(lambda t: sum_all(taped_affine(x, w, t)), b) < 1e-8
+
+
 def taped_grads(config, params, x, labels, batch_side):
     tape = Tape()
     leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params]
-    loss, _, _ = _batch_loss(config, forward(leaves, x), labels, batch_side)
+    loss, _, _ = _batch_loss(config, taped_forward(leaves, x), labels, batch_side)
     tape.backward(loss)
     return [(wl.grad, bl.grad) for wl, bl in leaves]
 

@@ -17,11 +17,41 @@ from normkd.trainer import (
     init_mlp,
     train,
 )
+from test_train_step import taped_forward
 
 
 def tiny_dataset(seed=0, classes=3, dim=4, per_class=20):
     train_ds, val_ds = make_blobs(classes, dim, per_class, 3.0, seed=seed)
     return train_ds, val_ds
+
+
+class TestForward:
+    """One layer is ``x @ w + b``: checked by hand and at 50 digits."""
+
+    def test_identity(self):
+        eye = np.eye(2)
+        np.testing.assert_array_equal(forward([(eye, np.zeros(2))], eye), eye)
+
+    def test_hand_sum(self):
+        out = forward([(np.array([[1.0], [1.0]]), np.array([3.0]))], np.array([[1.0, 2.0]]))
+        np.testing.assert_array_equal(out, np.array([[6.0]]))
+
+    def test_random_against_extended_precision(self):
+        import mpmath as mp
+
+        mp.mp.dps = 50
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(3, 4))
+        w = rng.normal(size=(4, 2))
+        b = rng.normal(size=2)
+        out = forward([(w, b)], x)
+        for i in range(3):
+            for j in range(2):
+                expected = mp.fsum(
+                    [mp.mpf(x[i, d]) * mp.mpf(w[d, j]) for d in range(4)]
+                    + [mp.mpf(b[j])]
+                )
+                assert abs(out[i, j] - float(expected)) <= 1e-12 * max(1.0, abs(float(expected)))
 
 
 class TestInitMlp:
@@ -177,7 +207,8 @@ class TestTrain:
         init = init_mlp(spec)
         tape = Tape()
         leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in init]
-        loss = multiply(cross_entropy(forward(leaves, train_ds.features), train_ds.labels), 1.0)
+        logits = taped_forward(leaves, train_ds.features)
+        loss = multiply(cross_entropy(logits, train_ds.labels), 1.0)
         tape.backward(loss)
         for (w, b), (w0, b0), (wl, bl) in zip(params, init, leaves):
             np.testing.assert_allclose(w, w0 - 0.05 * wl.grad, rtol=0, atol=1e-12)
@@ -233,7 +264,7 @@ class TestTrain:
             tape = Tape()
             leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params]
             rep = kd_loss(
-                forward(leaves, train_ds.features[idx]),
+                taped_forward(leaves, train_ds.features[idx]),
                 z_t_all[idx],
                 train_ds.labels[idx],
                 4.0,
