@@ -13,9 +13,8 @@ student training per rule: parameters, history and logit caches; a depth-3
 run at batch 7; and, for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch.  Last come ``cache_teacher_logits`` and
 ``evaluate`` at the perfbench big_cache widths (32-64-100 and 32-16-100) on
-16,384 rows, where OpenBLAS picks its matmul kernel by thread count.  A case
-that raises contributes its error type and message instead.  Nothing is
-written to disk.
+16,384 rows.  A case that raises contributes its error type and message
+instead.  Nothing is written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and

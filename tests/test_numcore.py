@@ -201,7 +201,7 @@ def _contract_cases():
     x[0] = 0.7  # constant row: std 0, every entry ties for max and min
     x[1, 1:3] = x[1].max() + 1.0  # tied row maximum
     x[2, 0] = 0.0  # subgradient point of maximum(x, 0.0)
-    rng.normal(size=18)  # the binary cases' inputs are the stream's draws after these
+    rng.normal(size=18)  # keeps the stream where the binary cases' inputs are drawn
     idx = np.array([4, 0, 2, 2])
     cases = [
         ("maximum_at_zero", lambda t: maximum(t, 0.0), (x,), (0,)),

@@ -1,12 +1,13 @@
 """The untaped training step against the taped step it replays.
 
 ``taped_grads`` is the reference: every parameter becomes a ``Tape.leaf``,
-``taped_forward`` (the MLP recorded node by node) and ``_batch_loss`` run on
-the tape, and ``Tape.backward`` fills the leaves' gradients.  ``reference_train`` is ``train`` with that
-step, and with the teacher side built from each batch's own rows (and
-each record's whole matrix), where ``train`` builds it once per run and
-indexes it.  Arrays are compared by ``.tobytes()``, because
-``assert_array_equal`` takes -0.0 for 0.0.
+``taped_forward`` (the MLP recorded node by node) and ``_batch_loss`` run
+on the tape, and ``Tape.backward`` fills the leaves' gradients.
+``reference_train`` is ``train`` with that step, and with the teacher
+side built from each batch's own rows (and each record's whole matrix),
+where ``train`` builds it once per run and indexes it.  Arrays are
+compared by ``.tobytes()``, because ``assert_array_equal`` takes -0.0 for
+0.0.
 """
 
 import numpy as np
