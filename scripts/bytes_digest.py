@@ -10,10 +10,11 @@ The default digest covers, for every case of the loss grid below, the taped
 node's data and grad bytes after backward, plus the same values from the
 untaped (plain-array) call.  It also covers a short teacher training and a
 student training per rule: parameters, history and logit caches; a depth-3
-run at batch 7; and, for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
-every epoch ends on a one-row batch.  Last come ``cache_teacher_logits`` and
-``evaluate`` at the perfbench big_cache widths (32-64-100 and 32-16-100) on
-16,384 rows.  A case that raises contributes its error type and message
+run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
+every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
+temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
+Last come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  A case that raises contributes its error type and message
 instead.  Nothing is written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
@@ -66,6 +67,8 @@ SIZES = (1, 3, 64, 1024)
 CLASSES = (2, 3, 10, 100)
 ROW_KINDS = ("normal", "constant", "tied", "negative", "float32")
 TRAIN_RULES = ("fixed:4", "multiset:1,2,4", "normstd:2.0", "maxval:1.0", "range:1.0")
+EXTRA_TRAININGS = (("multiset:4", False), ("multiset:1,2,3,4,5,6,7,8", False),
+                   ("range:1.0", True))
 
 
 def _logits(rng: np.random.Generator, n: int, c: int, kind: str) -> np.ndarray:
@@ -182,7 +185,13 @@ def trainings(d: Digest) -> int:
         params, history = train(MlpSpec((6, 5, 4), 3), config, train_ds, cache, val_ds)
         d.part(f"train {spec} last batch one row")
         d.add(spec, *(a for wb in params for a in wb), repr(history))
-    return 5 + 2 * len(TRAIN_RULES)
+    # a one-temperature MultiSet, acceptance 7's eight temperatures, and a detached live-std Range
+    for spec, detach in EXTRA_TRAININGS:
+        config = replace(recipe, rule=parse_rule(spec), detach_student_stat=detach)
+        params, history = train(MlpSpec((6, 5, 4), init_seed=4), config, train_ds, cache, val_ds)
+        d.part(f"train {spec} detach={detach}")
+        d.add(spec, detach, *(a for wb in params for a in wb), repr(history))
+    return 5 + 2 * len(TRAIN_RULES) + len(EXTRA_TRAININGS)
 
 
 BIG_WIDTHS = ((32, 64, 100), (32, 16, 100))
