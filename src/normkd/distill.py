@@ -26,6 +26,9 @@ rules.  ``teacher_side`` applies it to the teacher (``train`` once per run),
 ``_rule_kld`` to the student, weighting each sample's divergence by its
 squared teacher temperature.  ``kd_loss``, ``multi_temp_kld``,
 ``normkd_loss`` and ``distill_loss`` are thin wrappers over the two.
+No training step tapes them: ``logit_grad`` replays the backward of
+``side_loss`` taped at the student logits on plain arrays, node by node,
+and gives the same gradient bytes.
 
 The per-sample losses floor each sample's statistic at ``epsilon`` before
 scaling, so no row divides by zero.  That makes a constant row soften to
@@ -48,6 +51,7 @@ from .errors import ContractError, DimensionError, NumericError
 from .logitstats import (
     DEFAULT_EPSILON,
     Fixed,
+    MaxVal,
     MultiSet,
     NormStd,
     TemperatureRule,
@@ -67,6 +71,7 @@ from .numcore import (
     log_softmax_values,
     mean_all,
     multiply,
+    std_rows,
     subtract,
     sum_rows,
     value_of,
@@ -340,6 +345,97 @@ def side_loss(rule, student_logits, teacher, labels, alpha, beta, corrected, det
     kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach)
     total = add(multiply(ce, alpha), multiply(kld, beta))
     return _report(total, ce, kld, alpha, beta, weights, teacher[0].shape[0])
+
+
+def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np.ndarray:
+    """d(total)/d(z_s) of ``side_loss`` on a plain (N, C) ``z_s``, bit-identical
+    to taping it with ``z_s`` as a parentless node and calling ``Tape.backward``.
+
+    ``teacher`` None means ``alpha * cross_entropy`` alone, whose student is
+    not checked; otherwise the student is checked as ``side_loss``'s callers
+    check it, before the labels.  The composite's own forward expressions
+    run, then each node's backward rule in reverse creation order.  A node's
+    gradient is its first contribution plus 0.0, as on the tape; the only
+    node with several, ``z_s``, adds the later ones in place.  A gradient a
+    node passes on unchanged is already ``g + 0.0`` and is not added again,
+    and one that is the same in every entry, a mean's or a constant
+    weight's, stays a float until it meets an array.
+    """
+    if teacher is not None:
+        _check_student(z_s)
+    n, c = z_s.shape
+    labels = _as_labels(labels, n, c)
+    parts = [] if teacher is None else _kld_logit_parts(rule, z_s, teacher, beta, corrected, detach)
+    # alpha * mean(gather(log_softmax(z_s)) * -1.0), back to the log-softmax
+    picked = np.zeros_like(z_s)
+    picked[np.arange(n), labels] = ((1.0 * alpha + 0.0) * (1.0 / n) + 0.0) * -1.0 + 0.0
+    parts.append(_log_softmax_back(picked, log_softmax_values(z_s)))
+    grad = np.add(parts[0], 0.0)
+    for part in parts[1:]:
+        grad += part
+    return grad
+
+
+def _log_softmax_back(g, lp) -> np.ndarray:
+    """The gradient of a row log-softmax's input whose output ``lp`` gets ``g``."""
+    return np.add(g - np.exp(lp) * g.sum(axis=1, keepdims=True), 0.0)
+
+
+def _kld_logit_parts(rule, z, teacher, beta, corrected, detach) -> list[np.ndarray]:
+    """The KL term's contributions to ``logit_grad``, in the order the tape adds them."""
+    lp_t, p_t, weights = teacher
+    # beta * mean(weights * sum_rows(p_t * (lp_t - lp_s))), back to lp_s
+    g = np.add(((1.0 * beta + 0.0) * (1.0 / z.shape[0]) + 0.0) * weights, 0.0)
+    g = np.add(-np.add(g * p_t, 0.0), 0.0)
+    if isinstance(rule, MultiSet):  # _log_mean_prediction, back to each z / t
+        temps = rule.temperatures
+        lps = [log_softmax_values(z / t) for t in temps]
+        shift = lps[0]
+        for lp in lps[1:]:
+            shift = np.maximum(shift, lp)
+        exps = [np.exp(lp - shift) for lp in lps]
+        total = exps[0]
+        for e in exps[1:]:
+            total = total + e
+        g = np.add(g / total, 0.0)  # through + shift, - log(k) and log
+        return [_log_softmax_back(np.add(g * e, 0.0), lp) / t
+                for t, lp, e in reversed(list(zip(temps, lps, exps)))]
+    if isinstance(rule, Fixed) or detach:
+        t = rule.temperature if isinstance(rule, Fixed) else row_temperatures(rule, z, corrected)
+        return [_log_softmax_back(g, log_softmax_values(z / t)) / t]
+    stat, stat_parts = _row_stat(rule, z, corrected)
+    scale = rule.t_norm if isinstance(rule, NormStd) else rule.t_v
+    t = np.maximum(stat, rule.epsilon) * scale
+    g = _log_softmax_back(g, log_softmax_values(z / t))
+    # t = maximum(stat, epsilon) * scale, back to the statistic
+    g_t = np.add((-g * z / (t * t)).sum(axis=1, keepdims=True), 0.0)
+    return [g / t, *stat_parts(np.add(np.add(g_t * scale, 0.0) * (stat > rule.epsilon), 0.0))]
+
+
+def _row_stat(rule, z, corrected):
+    """A per-sample rule's row statistic of ``z`` and the backward rules of the
+    nodes that make it: the statistic's gradient to their parts of ``z``'s."""
+    if isinstance(rule, NormStd):
+        stat = std_rows(z, corrected)
+
+        def std_back(g):
+            denom = (z.shape[1] - (1 if corrected else 0)) * stat
+            coef = np.where(denom > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
+            return [(z - z.mean(axis=1, keepdims=True)) * coef]
+
+        return stat, std_back
+    rows = np.arange(z.shape[0])[:, None]
+
+    def pick_back(col, g):
+        gx = np.zeros_like(z)
+        gx[rows, col] = g
+        return gx
+
+    hi = z.argmax(axis=1)[:, None]
+    if isinstance(rule, MaxVal):
+        return z[rows, hi], lambda g: [pick_back(hi, g)]
+    lo = z.argmin(axis=1)[:, None]  # the min's pick is recorded after the max's, so it runs first
+    return z[rows, hi] - z[rows, lo], lambda g: [pick_back(lo, np.add(-g, 0.0)), pick_back(hi, g)]
 
 
 def combine(terms):

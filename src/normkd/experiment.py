@@ -42,19 +42,23 @@ overriding ``epochs`` without ``lr_decay_epochs`` disables decay.
 Per-seed outputs land in ``output_dir/seed<k>/``: ``history.csv``
 (columns epoch,split,ce,kld,total,top1), ``student.train.nkdl`` /
 ``student.val.nkdl`` logit caches, and ``teacher.*.nkdl`` when the
-teacher is trained here.  ``output_dir/summary.csv`` (columns
-seed,rule,params,top1) gets one row per seed plus an ``aggregate`` row
-whose top1 field is ``mean±std`` (sample std over seeds).  Students
-always distill from the serialized float32 cache values, so rerunning a
-config reproduces every output byte for byte.
+teacher is trained here; a seed that fails leaves no ``seed<k>/``, and
+a run that fails on its first seed no ``output_dir``.
+``output_dir/summary.csv`` (columns seed,rule,params,top1) gets one row
+per seed plus an ``aggregate`` row whose top1 field is ``mean±std``
+(sample std over seeds).  Students always distill from the serialized
+float32 cache values, so rerunning a config reproduces every output
+byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
 import os
+import shutil
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -64,7 +68,7 @@ from .datasets import Dataset, read_dataset
 from .distill import combine, kd_loss, multi_temp_kld, normkd_loss, distill_loss
 from .errors import ConfigError, ContractError
 from .ioutil import atomic_write_text
-from .logitcache import float32_logits, read_logit_cache, write_logit_cache
+from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
     LogitCache,
     LogitSummary,
@@ -237,15 +241,34 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
     _write_csv(Path(path), ("epoch", "split", "ce", "kld", "total", "top1"), rows)
 
 
+@contextlib.contextmanager
+def _seed_dir(output_dir: Path, seed: int):
+    """Yield the directory to write seed ``seed``'s files into: a hidden sibling
+    that becomes ``output_dir/seed<k>`` only once the body has written them all.
+    On failure it is removed, and so is an ``output_dir`` made for it."""
+    made = not output_dir.exists()
+    stage, final = output_dir / f".seed{seed}.partial", output_dir / f"seed{seed}"
+    shutil.rmtree(stage, ignore_errors=True)  # what a killed run left
+    try:
+        yield stage
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        if made:
+            shutil.rmtree(output_dir, ignore_errors=True)
+        raise
+    if final.is_dir():  # a rerun into the same directory replaces its files one by one
+        for path in sorted(stage.iterdir()):
+            os.replace(path, final / path.name)
+        stage.rmdir()
+    else:
+        os.replace(stage, final)
+
+
 def _write_caches(seed_dir: Path, role: str, params, train_ds: Dataset, val_ds: Dataset) -> None:
-    """Write ``<role>.train.nkdl`` and ``<role>.val.nkdl``; ``seed_dir`` is made
-    only once both caches have passed every check a write makes."""
-    caches = [cache_teacher_logits(params, data) for data in (train_ds, val_ds)]
-    for cache in caches:
-        float32_logits(cache)
+    """Write ``<role>.train.nkdl`` and ``<role>.val.nkdl`` into ``seed_dir``, made if need be."""
     seed_dir.mkdir(parents=True, exist_ok=True)
-    for split, cache in zip(("train", "val"), caches):
-        write_logit_cache(seed_dir / f"{role}.{split}.nkdl", cache)
+    for split, data in (("train", train_ds), ("val", val_ds)):
+        write_logit_cache(seed_dir / f"{role}.{split}.nkdl", cache_teacher_logits(params, data))
 
 
 def _train_teacher_for_seed(
@@ -292,14 +315,14 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     for seed in cfg.seeds:
         # the widths are checked before the teacher trains, so a bad student fails fast
         spec = MlpSpec(cfg.student_layers, init_seed=seed)
-        seed_dir = cfg.output_dir / f"seed{seed}"
-        if cfg.student.rule is not None and not cached:
-            teacher_logits, _, _ = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
-        params, history = train(
-            spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
-        )
-        _write_caches(seed_dir, "student", params, train_ds, val_ds)
-        write_history_csv(seed_dir / "history.csv", history)
+        with _seed_dir(cfg.output_dir, seed) as seed_dir:
+            if cfg.student.rule is not None and not cached:
+                teacher_logits = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)[0]
+            params, history = train(
+                spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
+            )
+            _write_caches(seed_dir, "student", params, train_ds, val_ds)
+            write_history_csv(seed_dir / "history.csv", history)
         rows.append((str(seed), name, params_label, repr(evaluate(params, val_ds))))
     return _write_summary(cfg, "summary.csv", rows)
 
@@ -312,9 +335,9 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
     val_ds = read_dataset(cfg.val_data)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
-        seed_dir = cfg.output_dir / f"seed{seed}"
-        _, history, top1 = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
-        write_history_csv(seed_dir / "teacher_history.csv", history)
+        with _seed_dir(cfg.output_dir, seed) as seed_dir:
+            _, history, top1 = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
+            write_history_csv(seed_dir / "teacher_history.csv", history)
         rows.append((str(seed), "none", "", repr(top1)))
     return _write_summary(cfg, "teacher_summary.csv", rows)
 

@@ -5,9 +5,10 @@ and plain numpy arrays (or scalars).  When at least one argument is a
 Tensor the result is a Tensor recorded on that argument's tape; when all
 arguments are plain values the same numpy computation runs untaped and the
 raw array comes back.  Loss code is therefore written once and works both
-for training, differentiated with respect to the logits, and for
-evaluation.  The MLP that makes the logits is not taped: its backward is
-the trainer's plain-array replay.
+taped, differentiated with respect to the logits, and for evaluation.
+Training tapes nothing: ``distill.logit_grad`` replays the taped losses'
+backward on plain arrays, bit for bit, and the trainer the MLP's.  The
+tape serves gradient checks, the reference tests and direct callers.
 
 A primitive is a forward value plus a backward rule ``g -> (grad, ...)``,
 one gradient per taped parent, recorded by ``_binary`` (two broadcasting
@@ -26,9 +27,8 @@ Conventions that matter for reproducibility:
 * the backward pass walks nodes in reverse creation order, running once
   the rule of each node a gradient reached, so repeated runs are bit-identical.
 
-Ownership: a tape holds its leaves; every other node, a root from
-``Tape.root`` included, lives while something uses it, its caller or a
-later node that has it as a parent.
+Ownership: a tape holds its leaves; every other node lives while
+something uses it, its caller or a later node that has it as a parent.
 ``Tape.backward`` fills ``.grad`` on every live node.  A dropped tape and
 output free their interior arrays at once by reference counting; only
 the cycle between a tape and its leaves waits for the cyclic collector.
@@ -115,10 +115,10 @@ class Tape:
     them.
 
     The tape holds its leaves and only weak references to every other
-    node, roots included.  An interior node lives while its caller, or a
-    later node through its parents, still uses it; once the output and
-    the handles the caller kept are dropped, reference counting frees the
-    interior arrays at once.  The one cycle left, a leaf's ``tape`` and
+    node.  An interior node lives while its caller, or a later node
+    through its parents, still uses it; once the output and the handles
+    the caller kept are dropped, reference counting frees the interior
+    arrays at once.  The one cycle left, a leaf's ``tape`` and
     the tape's leaves, holds only the leaf copies and waits for the
     cyclic collector.
     """
@@ -142,15 +142,6 @@ class Tape:
         self._leaves.append(node)
         self._refs.append(weakref.ref(node))
         return node
-
-    def root(self, data: Array) -> Tensor:
-        """Record ``data`` as a parentless node, neither copied nor checked.
-
-        Unlike a leaf, the tape does not hold it: ``backward`` fills its
-        ``.grad`` while the caller keeps the handle.  This is how a caller
-        that computed ``data`` itself differentiates through it.
-        """
-        return self._record(data, (), None)
 
     def _record(self, data: Array, parents: tuple[Tensor, ...], vjp) -> Tensor:
         node = Tensor(self, data, parents, vjp)

@@ -11,12 +11,14 @@ never run online.  With no cache (or beta = 0, or no rule) the objective
 is plain cross entropy scaled by alpha.
 
 The MLP has one forward, on plain arrays: ``_layers``, which ``forward``
-checks shapes for.  A training step runs it, keeping each layer's input,
-and replays its backward on plain arrays, in the order and with the numpy
-expressions of a tape, so the parameters come out bit-identical to a
-fully taped step.  A plain-CE step builds no tape at all: it replays
-cross entropy's backward as well.  A distilling step tapes only the loss,
-with the logits as its root node.
+checks shapes for.  No training step tapes anything.  A step runs the
+forward, keeping each layer's input, takes the loss's gradient at the
+logits from ``distill.logit_grad`` (a replay of the taped loss's
+backward), and replays the MLP's backward on plain arrays, in the order
+and with the numpy expressions of a tape, so the parameters come out
+bit-identical to a fully taped step.  Parameters, gradients and momentum
+are each views of one flat array, so the Nesterov update runs once per
+step on the flat arrays.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import Dataset
-from .distill import _as_labels, _check_student, cross_entropy, side_loss, teacher_side
+from .distill import _check_student, cross_entropy, logit_grad, side_loss, teacher_side
 from .errors import ConfigError, ContractError, DimensionError
 from .logitstats import LogitCache, TemperatureRule, require_cache
-from .numcore import Tape, as_array, log_softmax_values, multiply, value_of
+from .numcore import as_array
 
 
 @dataclass(frozen=True)
@@ -192,24 +194,19 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def _batch_loss(config: TrainConfig, logits, labels, teacher):
-    """Scalar loss node plus (ce, kld) floats; ``teacher`` is a ``teacher_side``
-    triple, or None for alpha-scaled cross entropy alone."""
-    if teacher is None:
-        ce = cross_entropy(logits, labels)
-        total = multiply(ce, config.alpha)
-        return total, float(value_of(ce)), 0.0
-    _check_student(logits)
-    report = side_loss(config.rule, logits, teacher, labels, config.alpha, config.beta,
-                       config.std_corrected, config.detach_student_stat)
-    return report.node if report.node is not None else report.total, report.ce_part, report.kld_part
-
-
 def _split_record(
     epoch: int, split: str, config: TrainConfig, params: Params, data: Dataset, teacher
 ) -> EpochRecord:
+    """One split's losses and top-1; ``teacher`` is a ``teacher_side`` triple,
+    or None for cross entropy alone (kld 0)."""
     logits = forward(params, data.features)
-    _, ce, kld = _batch_loss(config, logits, data.labels, teacher)
+    if teacher is None:
+        ce, kld = float(cross_entropy(logits, data.labels)), 0.0
+    else:
+        _check_student(logits)
+        report = side_loss(config.rule, logits, teacher, data.labels, config.alpha, config.beta,
+                           config.std_corrected, config.detach_student_stat)
+        ce, kld = report.ce_part, report.kld_part
     return EpochRecord(
         epoch=epoch,
         split=split,
@@ -220,55 +217,27 @@ def _split_record(
     )
 
 
-def _ce_logit_grad(logits, labels, alpha: float) -> np.ndarray:
-    """d(alpha * cross_entropy)/d(logits), untaped.
-
-    Replays the backward rules of the nodes ``cross_entropy`` and the alpha
-    multiply record (the multiply, ``mean_all``, ``* -1.0``, the gather and
-    log-softmax) in reverse creation order.  Each node's gradient is its
-    one contribution written as ``np.add(g, 0.0)``, which equals the tape's
-    ``zeros + g`` bit for bit, signed zeros included.
-    """
-    log_p = log_softmax_values(logits)
-    n = log_p.shape[0]
-    g = np.add(np.ones(()) * alpha, 0.0)
-    g = np.add(np.broadcast_to(g * (1.0 / n), (n, 1)), 0.0)
-    g = np.add(g * -1.0, 0.0)
-    picked = np.zeros_like(log_p)
-    np.put_along_axis(picked, labels[:, None], g, axis=1)
-    g = np.add(picked, 0.0)
-    return np.add(g - np.exp(log_p) * g.sum(axis=1, keepdims=True), 0.0)
-
-
-def _step_grads(config: TrainConfig, params: Params, x, labels, teacher) -> Params:
-    """The batch loss's gradient for every (weight, bias), bit-identical to
-    taping the MLP (one ``x @ w + b`` node per layer, ``maximum(h, 0.0)``
-    between) and ``_batch_loss``, and calling ``Tape.backward``.
-
-    A plain-CE step builds no tape.  Otherwise a tape holds only the loss,
-    and the gradient reaching the logits comes from its backward.  The
-    MLP's forward and backward run on plain arrays either way; the
-    parameters are checked finite first, as ``Tape.leaf`` checked them.
-    """
-    for w, b in params:
-        as_array(w, "leaf")
-        as_array(b, "leaf")
+def _step_grads(config: TrainConfig, params: Params, x, labels, teacher, grads: Params) -> None:
+    """Write the batch loss's gradient for every (weight, bias) into ``grads``,
+    bit-identical to taping the MLP (one ``x @ w + b`` node per layer,
+    ``maximum(h, 0.0)`` between) and the loss (alpha-scaled cross entropy for
+    a None ``teacher``, else ``side_loss`` after the student check), and
+    calling ``Tape.backward``.  Nothing is taped: ``logit_grad`` replays the
+    loss's backward, and the MLP's replays below it."""
     h, inputs = _layers(params, x)
-    if teacher is None:
-        labels = _as_labels(labels, h.shape[0], h.shape[1])
-        g = _ce_logit_grad(h, labels, config.alpha)
-    else:
-        tape = Tape()
-        logits = tape.root(h)
-        loss, _, _ = _batch_loss(config, logits, labels, teacher)
-        tape.backward(loss)
-        g = logits.grad
-    grads: Params = []
-    for x_in, (w, _) in zip(reversed(inputs), reversed(params)):
-        grads.append((np.add(x_in.T @ g, 0.0), np.add(g.sum(axis=0), 0.0)))
+    g = logit_grad(config.rule, h, teacher, labels, config.alpha, config.beta,
+                   config.std_corrected, config.detach_student_stat)
+    for x_in, (w, _), (gw, gb) in zip(reversed(inputs), reversed(params), reversed(grads)):
+        np.add(x_in.T @ g, 0.0, out=gw)
+        np.add(g.sum(axis=0), 0.0, out=gb)
         if x_in is not x:  # back through the ReLU that made this input
             g = np.add(np.add(g @ w.T, 0.0) * (x_in > 0.0), 0.0)
-    return grads[::-1]
+
+
+def _views(flat: np.ndarray, like: Params) -> Params:
+    """(weight, bias) views of ``flat``, shaped and ordered as ``like``'s arrays."""
+    parts = iter(np.split(flat, np.cumsum([a.size for wb in like for a in wb])[:-1]))
+    return [(next(parts).reshape(w.shape), next(parts)) for w, _ in like]
 
 
 def train(
@@ -305,16 +274,18 @@ def train(
     if teacher_logits is not None:
         teacher = _teacher_matrix(teacher_logits, train_data)
 
-    params = [(w.copy(), b.copy()) for (w, b) in init_mlp(spec)]
+    init = init_mlp(spec)
+    flat_p = np.concatenate([a.reshape(-1) for wb in init for a in wb])
+    flat_g, flat_v = np.zeros_like(flat_p), np.zeros_like(flat_p)
+    params, grads = _views(flat_p, init), _views(flat_g, init)
     history: TrainHistory = []
     if config.epochs == 0:
-        return params, history
+        return init, history
     if config.beta == 0.0 or config.rule is None:  # alpha-scaled cross entropy alone
         teacher = None
     elif teacher is not None:  # constant and row by row: built once per run, indexed per batch
         teacher = teacher_side(config.rule, teacher, config.std_corrected)
 
-    momentum_bufs = [(np.zeros_like(w), np.zeros_like(b)) for (w, b) in params]
     lr = config.learning_rate
     x_all, y_all = train_data.features, train_data.labels
 
@@ -326,14 +297,13 @@ def train(
             idx = order[start : start + config.batch_size]
             rows = None if teacher is None else tuple(
                 a[idx] if isinstance(a, np.ndarray) else a for a in teacher)
-            grads = _step_grads(config, params, x_all[idx], y_all[idx], rows)
-            for (w, b), (gw, gb), (vw, vb) in zip(params, grads, momentum_bufs):
-                for p, g, v in ((w, gw, vw), (b, gb, vb)):
-                    g = g + config.weight_decay * p
-                    v *= config.momentum
-                    v += g
-                    p -= lr * (g + config.momentum * v)
+            as_array(flat_p, "leaf")  # the taped step's leaves checked the parameters first
+            _step_grads(config, params, x_all[idx], y_all[idx], rows, grads)
+            g = flat_g + config.weight_decay * flat_p
+            flat_v *= config.momentum
+            flat_v += g
+            flat_p -= lr * (g + config.momentum * flat_v)
         history.append(_split_record(epoch, "train", config, params, train_data, teacher))
         if val_data is not None:
             history.append(_split_record(epoch, "val", config, params, val_data, None))
-    return params, history
+    return [(w.copy(), b.copy()) for w, b in params], history

@@ -128,6 +128,9 @@ class TestDistillCommand:
             ("distill", "learning_rate = 1e30", 4, "record 0 has logits outside the float32 range"),
             ("train-teacher", "learning_rate = 1e30", 4,
              "record 0 has logits outside the float32 range"),
+            # the teacher's caches are written, then the student's fail their checks
+            ("distill", "learning_rate = 1e30\nteacher_epochs = 0", 4,
+             "record 0 has logits outside the float32 range"),
         ],
     )
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command, line, code, message):

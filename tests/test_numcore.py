@@ -423,20 +423,6 @@ class TestTapeOwnership:
         assert held_count - dropped_count == 2
         assert dropped_grad == held_grad
 
-    def test_root_is_neither_held_nor_copied_nor_checked(self):
-        z = np.array([[1.0, -2.0, 0.5]])
-        with _no_cyclic_collector():
-            tape = Tape()
-            root = tape.root(z)
-            assert root.data is z
-            tape.backward(sum_all(multiply(root, root)))
-            assert root.grad.tobytes() == (2.0 * z).tobytes()
-            ref = weakref.ref(root)
-            del root
-            assert ref() is None
-            assert tape.nodes == []
-        assert Tape().root(np.array([np.inf])).data[0] == np.inf
-
 
 def test_leaf_rejects_non_finite():
     with pytest.raises(NumericError):

@@ -1,8 +1,9 @@
 """The untaped training step against the taped step it replays.
 
 ``taped_grads`` is the reference: every parameter becomes a ``Tape.leaf``,
-``taped_forward`` (the MLP recorded node by node) and ``_batch_loss`` run
-on the tape, and ``Tape.backward`` fills the leaves' gradients.
+``taped_forward`` (the MLP recorded node by node) and ``taped_loss`` (the
+batch loss) run on the tape, and ``Tape.backward`` fills the leaves'
+gradients.
 ``reference_train`` is ``train`` with that step, and with the teacher
 side built from each batch's own rows (and each record's whole matrix),
 where ``train`` builds it once per run and indexes it.  Arrays are
@@ -15,14 +16,13 @@ import pytest
 
 from normkd import trainer
 from normkd.datasets import make_blobs
-from normkd.distill import teacher_side
+from normkd.distill import _check_student, cross_entropy, side_loss, teacher_side
 from normkd.errors import NumericError
 from normkd.logitstats import parse_rule
-from normkd.numcore import Tape, Tensor, grad_check, maximum, sum_all
+from normkd.numcore import Tape, Tensor, grad_check, maximum, multiply, sum_all
 from normkd.trainer import (
     MlpSpec,
     TrainConfig,
-    _batch_loss,
     _epoch_order,
     _split_record,
     cache_teacher_logits,
@@ -68,10 +68,20 @@ def test_taped_affine_gradients_match_finite_differences():
     assert grad_check(lambda t: sum_all(taped_affine(x, w, t)), b) < 1e-8
 
 
+def taped_loss(config, logits, labels, batch_side):
+    """The batch loss as a taped scalar: alpha-scaled cross entropy for a None
+    side, else ``side_loss`` after the student check ``train`` makes."""
+    if batch_side is None:
+        return multiply(cross_entropy(logits, labels), config.alpha)
+    _check_student(logits)
+    return side_loss(config.rule, logits, batch_side, labels, config.alpha, config.beta,
+                     config.std_corrected, config.detach_student_stat).node
+
+
 def taped_grads(config, params, x, labels, batch_side):
     tape = Tape()
     leaves = [(tape.leaf(w), tape.leaf(b)) for w, b in params]
-    loss, _, _ = _batch_loss(config, taped_forward(leaves, x), labels, batch_side)
+    loss = taped_loss(config, taped_forward(leaves, x), labels, batch_side)
     tape.backward(loss)
     return [(wl.grad, bl.grad) for wl, bl in leaves]
 
@@ -100,7 +110,8 @@ def reference_train(spec, config, train_data, teacher=None, val_data=None, check
             batch_side = side(config, teacher[idx] if teacher is not None else None)
             grads = taped_grads(config, params, x_all[idx], y_all[idx], batch_side)
             if check_step:
-                got = trainer._step_grads(config, params, x_all[idx], y_all[idx], batch_side)
+                got = [(np.empty_like(w), np.empty_like(b)) for w, b in params]
+                trainer._step_grads(config, params, x_all[idx], y_all[idx], batch_side, got)
                 assert [(gw.tobytes(), gb.tobytes()) for gw, gb in got] == [
                     (gw.tobytes(), gb.tobytes()) for gw, gb in grads
                 ], f"gradient bytes differ at epoch {epoch}, row {start}"
@@ -136,6 +147,8 @@ ARMS = {
     "range_uncorrected": (dict(rule="range:1.0", std_corrected=False), True),
     "normstd_detached": (dict(rule="normstd:2.0", detach_student_stat=True), True),
     "maxval_detached": (dict(rule="maxval:1.0", detach_student_stat=True), True),
+    "multiset_k1": (dict(rule="multiset:4"), True),
+    "range_detached": (dict(rule="range:1.0", detach_student_stat=True), True),
 }
 WIDTHS = {1: (4, 3), 2: (4, 6, 3), 3: (4, 7, 5, 3)}
 
