@@ -14,8 +14,9 @@ run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
 temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
 Last come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
-big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  A case that raises contributes its error type and message
-instead.  Nothing is written to disk.
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  A case that
+raises contributes its error type and message instead.  Nothing is
+written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and

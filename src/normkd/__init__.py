@@ -4,9 +4,9 @@ The library softens each sample's logits by a temperature tied to that
 sample's own logit spread (its standard deviation, maximum, or range)
 instead of one global constant, and trains small teacher/student MLPs
 against the resulting objectives.  A float64 tape differentiates the
-losses with respect to the logits; the MLP runs on plain arrays, and its
-backward is replayed by hand.  See the README for the file formats and
-the CLI.
+losses with respect to the logits; training tapes nothing, and replays
+the loss's and the MLP's backward on plain arrays, bit for bit.  See the
+README for the file formats and the CLI.
 """
 
 from .datasets import Dataset, make_blobs, read_dataset, write_dataset

@@ -245,16 +245,16 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
 def _seed_dir(output_dir: Path, seed: int):
     """Yield the directory to write seed ``seed``'s files into: a hidden sibling
     that becomes ``output_dir/seed<k>`` only once the body has written them all.
-    On failure it is removed, and so is an ``output_dir`` made for it."""
-    made = not output_dir.exists()
+    On failure it is removed, and so are ``output_dir`` and its parents if made for it."""
+    made = next((d for d in (*reversed(output_dir.parents), output_dir) if not d.exists()), None)
     stage, final = output_dir / f".seed{seed}.partial", output_dir / f"seed{seed}"
     shutil.rmtree(stage, ignore_errors=True)  # what a killed run left
     try:
         yield stage
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
-        if made:
-            shutil.rmtree(output_dir, ignore_errors=True)
+        if made is not None:
+            shutil.rmtree(made, ignore_errors=True)
         raise
     if final.is_dir():  # a rerun into the same directory replaces its files one by one
         for path in sorted(stage.iterdir()):

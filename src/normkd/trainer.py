@@ -223,7 +223,7 @@ def _step_grads(config: TrainConfig, params: Params, x, labels, teacher, grads: 
     ``maximum(h, 0.0)`` between) and the loss (alpha-scaled cross entropy for
     a None ``teacher``, else ``side_loss`` after the student check), and
     calling ``Tape.backward``.  Nothing is taped: ``logit_grad`` replays the
-    loss's backward, and the MLP's replays below it."""
+    loss's backward, and the loop below the MLP's."""
     h, inputs = _layers(params, x)
     g = logit_grad(config.rule, h, teacher, labels, config.alpha, config.beta,
                    config.std_corrected, config.detach_student_stat)

@@ -131,14 +131,18 @@ class TestDistillCommand:
             # the teacher's caches are written, then the student's fail their checks
             ("distill", "learning_rate = 1e30\nteacher_epochs = 0", 4,
              "record 0 has logits outside the float32 range"),
+            ("distill", "output_dir = runs/a/out\nlearning_rate = 1e30\nteacher_epochs = 0", 4,
+             "record 0 has logits outside the float32 range"),
         ],
     )
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command, line, code, message):
         gen_data(tmp_path)
         cfg = write_config(tmp_path, extra=line + "\n", drop=(line.split()[0],))
+        before = sorted(tmp_path.rglob("*"))
         assert main([command, "--config", str(cfg)]) == code
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_bad_dataset_header_exits_3(self, tmp_path, capsys):
         gen_data(tmp_path)

@@ -1,5 +1,7 @@
 """Distillation losses: frozen oracle values, invariants, gradients, dispatch."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,16 +11,26 @@ from normkd.distill import (
     distill_loss,
     kd_loss,
     kl_divergence,
+    logit_grad,
     multi_temp_kld,
     multi_temp_prediction,
     norm_soften,
     normkd_loss,
+    side_loss,
     soften,
     teacher_side,
 )
 from normkd.errors import ContractError, DimensionError, NumericError
-from normkd.logitstats import Fixed, MaxVal, MultiSet, NormStd, Range, temperature_for
-from normkd.numcore import Tape, grad_check, value_of
+from normkd.logitstats import (
+    Fixed,
+    MaxVal,
+    MultiSet,
+    NormStd,
+    Range,
+    parse_rule,
+    temperature_for,
+)
+from normkd.numcore import Tape, grad_check, multiply, value_of
 from oracles import (
     kd_loss_mp,
     multi_temp_kld_mp,
@@ -572,3 +584,78 @@ class TestTeacherSideOncePerRun:
             else:
                 assert w.shape == (size, 1)
                 assert w.tobytes() == w_all[idx].tobytes()
+
+
+def _replay_logits(rng, n, c, kind):
+    """Logit rows of one kind: normal, every other row constant, exact ties at
+    the maximum, every maximum negative, or float32-rounded with an offset."""
+    z = rng.normal(0.0, 2.0, size=(n, c))
+    if kind == "constant":
+        z[::2] = z[::2, :1]
+    elif kind == "tied":
+        z[:, 1] = z.max(axis=1)
+    elif kind == "negative":
+        z -= z.max(axis=1, keepdims=True) + 1.0
+    elif kind == "float32":
+        z = (z + 4.0).astype(np.float32).astype(np.float64)
+    return z
+
+
+def _taped_logit_grad(rule, z, side, labels, alpha, beta, corrected, detach):
+    """The logits' gradient from a tape: ``side_loss`` (or alpha-scaled cross
+    entropy for a None side) on a leaf, then ``Tape.backward``."""
+    tape = Tape()
+    leaf = tape.leaf(z)
+    if side is None:
+        loss = multiply(cross_entropy(leaf, labels), alpha)
+    else:
+        loss = side_loss(rule, leaf, side, labels, alpha, beta, corrected, detach).node
+    tape.backward(loss)
+    return leaf.grad
+
+
+REPLAY_RULES = (
+    "fixed:4", "fixed:1", "multiset:1,2,4", "multiset:4", "multiset:0.5,1,2,3,4,5,6,8",
+    "normstd:2.0", "normstd:1.0:1e-3", "maxval:1.0", "maxval:2.0:0.5", "range:1.0",
+)
+REPLAY_KINDS = ("normal", "constant", "tied", "negative", "float32")
+
+
+class TestLogitGradReplay:
+    """``logit_grad`` equals the taped composite's gradient at the logits by
+    ``.tobytes()``, for every rule, estimator, detached or live statistic,
+    batch shape, kind of row and alpha."""
+
+    @staticmethod
+    def _grid(spec, corrected, detach):
+        rule = None if spec is None else parse_rule(spec)
+        for n, c, kind, alpha in itertools.product(
+            (1, 3, 64), (2, 3, 10), REPLAY_KINDS, (0.1, 0.37, 1.0)
+        ):
+            rng = np.random.default_rng([n, c, REPLAY_KINDS.index(kind)])
+            z, z_t = _replay_logits(rng, n, c, kind), _replay_logits(rng, n, c, kind)
+            labels = rng.integers(0, c, size=n)
+            side = None if rule is None else teacher_side(rule, z_t, corrected)
+            args = (rule, z, side, labels, alpha, 0.9, corrected, detach)
+            with np.errstate(all="ignore"):
+                want = _taped_logit_grad(*args)
+                got = logit_grad(*args)
+            assert got.tobytes() == want.tobytes(), (n, c, kind, alpha)
+
+    @pytest.mark.parametrize("detach", [False, True], ids=["live", "detached"])
+    @pytest.mark.parametrize("corrected", [True, False], ids=["corrected", "uncorrected"])
+    @pytest.mark.parametrize("spec", REPLAY_RULES)
+    def test_equals_taped_gradient_bytes(self, spec, corrected, detach):
+        self._grid(spec, corrected, detach)
+
+    def test_cross_entropy_alone_equals_taped_gradient_bytes(self):
+        self._grid(None, True, False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_raise_before_a_label_error(self, bad):
+        z = np.zeros((3, 4))
+        z[1, 2] = bad
+        side = teacher_side(NormStd(2.0), np.ones((3, 4)) + np.arange(4.0))
+        for labels in ([0, 1, 4], [0, 1]):  # out of range, wrong length
+            with pytest.raises(NumericError, match="student logits contain non-finite entries"):
+                logit_grad(NormStd(2.0), z, side, labels, 0.1, 0.9, True, False)
