@@ -8,7 +8,9 @@
 The default digest covers, for every case of the loss grid below, the taped
 ``distill_loss`` values, per-sample weights, tape node count and every
 node's data and grad bytes after backward, plus the same values from the
-untaped (plain-array) call.  It also covers a short teacher training and a
+untaped (plain-array) call.  One more part holds ``distill.logit_grad`` over
+the same grid, with the cell's ``teacher_side`` and with no teacher, at
+alpha 0.1 and beta 0.9.  It also covers a short teacher training and a
 student training per rule: parameters, history and logit caches; a depth-3
 run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
@@ -131,19 +133,42 @@ def _loss_case(d: Digest, rule, z_s, z_t, labels, corrected: bool, detach: bool)
         d.add(type(exc).__name__, str(exc))
 
 
-def loss_grid(d: Digest) -> int:
+def _replay_case(d: Digest, rule, z_s, z_t, labels, corrected: bool, detach: bool) -> None:
+    from normkd.distill import logit_grad, teacher_side
+
+    for with_teacher in (True, False):
+        try:
+            teacher = teacher_side(rule, z_t, corrected) if with_teacher else None
+            d.add(logit_grad(rule, z_s, teacher, labels, 0.1, 0.9, corrected, detach))
+        except Exception as exc:  # a raising case is part of the behaviour digested
+            d.add(type(exc).__name__, str(exc))
+
+
+def _grid():
+    """Every cell of the loss grid and every case in it: ``(cell name, case
+    key, rule, z_s, z_t, labels, corrected, detach)``."""
     from normkd.logitstats import parse_rule
 
-    cases = 0
     for n, c, kind in itertools.product(SIZES, CLASSES, ROW_KINDS):
         rng = np.random.default_rng([n, c, ROW_KINDS.index(kind)])
         z_s, z_t = _logits(rng, n, c, kind), _logits(rng, n, c, kind)
         labels = rng.integers(0, c, size=n)
-        d.part(f"loss n={n} c={c} {kind}")
         for spec, corrected, detach in itertools.product(RULES, (True, False), (False, True)):
-            d.add(spec, n, c, kind, corrected, detach)
-            _loss_case(d, parse_rule(spec), z_s, z_t, labels, corrected, detach)
-            cases += 1
+            yield (f"n={n} c={c} {kind}", (spec, n, c, kind, corrected, detach),
+                   parse_rule(spec), z_s, z_t, labels, corrected, detach)
+
+
+def loss_grid(d: Digest) -> int:
+    cases = 0
+    for cell, key, *case in _grid():
+        d.part(f"loss {cell}")
+        d.add(*key)
+        _loss_case(d, *case)
+        cases += 1
+    d.part("logit_grad over the loss grid")
+    for _, key, *case in _grid():
+        d.add(*key)
+        _replay_case(d, *case)
     return cases
 
 
