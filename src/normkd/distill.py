@@ -60,6 +60,9 @@ from .logitstats import (
 )
 from .numcore import (
     Tensor,
+    _log_softmax_grad,
+    _pick_grad,
+    _std_grad,
     add,
     as_matrix,
     as_vector,
@@ -95,10 +98,7 @@ class LossReport:
     total: float
     ce_part: float
     kld_part: float
-    alpha: float
-    beta: float
     per_sample_weight: np.ndarray
-    batch_size: int
     node: Tensor | None = None
 
 
@@ -163,6 +163,8 @@ def _check_student(student_logits) -> np.ndarray:
     z_s = value_of(student_logits)
     if z_s.ndim != 2:
         raise DimensionError(f"student logits must be (N, C), got shape {z_s.shape}")
+    if not z_s.shape[0]:
+        raise DimensionError(f"student logits have no rows, shape {z_s.shape}")
     if not np.isfinite(z_s).all():
         raise NumericError("student logits contain non-finite entries")
     return z_s
@@ -179,6 +181,8 @@ def _check_pair(student_logits, teacher_logits) -> tuple[np.ndarray, np.ndarray]
 
 
 def _as_labels(labels, n: int, c: int) -> np.ndarray:
+    if not n:
+        raise DimensionError(f"student logits have no rows, shape {(n, c)}")
     arr = np.asarray(labels)
     if arr.shape != (n,):
         raise DimensionError(f"labels shape {arr.shape} does not match batch size {n}")
@@ -200,12 +204,6 @@ def cross_entropy(student_logits, labels):
     return mean_all(multiply(gather_rows(log_p, labels), -1.0))
 
 
-def _kld_reduction(p_t, lp_t, lp_s, compensation):
-    """mean over samples of compensation * sum over classes of p_t*(lp_t-lp_s)."""
-    per_sample = sum_rows(multiply(p_t, subtract(lp_t, lp_s)))
-    return mean_all(multiply(per_sample, compensation))
-
-
 def _log_mean_prediction(logits, temps):
     """Log of the temperature-averaged prediction, row-wise, stabilized.
 
@@ -224,17 +222,13 @@ def _log_mean_prediction(logits, temps):
     return add(subtract(log(total), math.log(len(temps))), shift)
 
 
-def _report(total, ce, kld, alpha, beta, weights, n) -> LossReport:
-    node = total if isinstance(total, Tensor) else None
+def _report(total, ce, kld, weights, n) -> LossReport:
     return LossReport(
         total=float(value_of(total)),
         ce_part=float(value_of(ce)),
         kld_part=float(value_of(kld)),
-        alpha=float(alpha),
-        beta=float(beta),
         per_sample_weight=np.full((n, 1), weights, dtype=np.float64).reshape(-1),
-        batch_size=n,
-        node=node,
+        node=total if isinstance(total, Tensor) else None,
     )
 
 
@@ -272,7 +266,8 @@ def _rule_kld(rule: TemperatureRule, student_logits, teacher, corrected: bool, d
     lp_t, p_t, weights = teacher
     stat_src = value_of(student_logits) if detach else student_logits
     lp_s, _ = _softened(rule, student_logits, stat_src, corrected)
-    return _kld_reduction(p_t, lp_t, lp_s, weights), weights
+    per_sample = sum_rows(multiply(p_t, subtract(lp_t, lp_s)))
+    return mean_all(multiply(per_sample, weights)), weights
 
 
 def kd_loss(
@@ -319,7 +314,7 @@ def normkd_loss(
     z_s, z_t = _check_pair(student_logits, teacher_logits)
     teacher = teacher_side(rule, z_t, corrected)
     kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach_student_std)
-    return _report(kld, 0.0, kld, 0.0, 1.0, weights, z_s.shape[0])
+    return _report(kld, 0.0, kld, weights, z_s.shape[0])
 
 
 def distill_loss(
@@ -344,7 +339,7 @@ def side_loss(rule, student_logits, teacher, labels, alpha, beta, corrected, det
     ce = cross_entropy(student_logits, labels)
     kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach)
     total = add(multiply(ce, alpha), multiply(kld, beta))
-    return _report(total, ce, kld, alpha, beta, weights, teacher[0].shape[0])
+    return _report(total, ce, kld, weights, teacher[0].shape[0])
 
 
 def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np.ndarray:
@@ -367,8 +362,7 @@ def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np
     labels = _as_labels(labels, n, c)
     parts = [] if teacher is None else _kld_logit_parts(rule, z_s, teacher, beta, corrected, detach)
     # alpha * mean(gather(log_softmax(z_s)) * -1.0), back to the log-softmax
-    picked = np.zeros_like(z_s)
-    picked[np.arange(n), labels] = ((1.0 * alpha + 0.0) * (1.0 / n) + 0.0) * -1.0 + 0.0
+    picked = _pick_grad(((1.0 * alpha + 0.0) * (1.0 / n) + 0.0) * -1.0 + 0.0, z_s, labels[:, None])
     parts.append(_log_softmax_back(picked, log_softmax_values(z_s)))
     grad = np.add(parts[0], 0.0)
     for part in parts[1:]:
@@ -377,8 +371,8 @@ def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np
 
 
 def _log_softmax_back(g, lp) -> np.ndarray:
-    """The gradient of a row log-softmax's input whose output ``lp`` gets ``g``."""
-    return np.add(g - np.exp(lp) * g.sum(axis=1, keepdims=True), 0.0)
+    """``_log_softmax_grad`` as the tape stores it, its first contribution plus 0.0."""
+    return np.add(_log_softmax_grad(g, lp), 0.0)
 
 
 def _kld_logit_parts(rule, z, teacher, beta, corrected, detach) -> list[np.ndarray]:
@@ -403,39 +397,26 @@ def _kld_logit_parts(rule, z, teacher, beta, corrected, detach) -> list[np.ndarr
     if isinstance(rule, Fixed) or detach:
         t = rule.temperature if isinstance(rule, Fixed) else row_temperatures(rule, z, corrected)
         return [_log_softmax_back(g, log_softmax_values(z / t)) / t]
-    stat, stat_parts = _row_stat(rule, z, corrected)
-    scale = rule.t_norm if isinstance(rule, NormStd) else rule.t_v
+    # the live statistic: std_rows, max_rows, or max_rows minus min_rows
+    if isinstance(rule, NormStd):
+        stat, scale = std_rows(z, corrected), rule.t_norm
+    else:
+        rows, hi = np.arange(z.shape[0])[:, None], z.argmax(axis=1)[:, None]
+        stat, scale = z[rows, hi], rule.t_v
+        if not isinstance(rule, MaxVal):
+            lo = z.argmin(axis=1)[:, None]
+            stat = stat - z[rows, lo]
     t = np.maximum(stat, rule.epsilon) * scale
     g = _log_softmax_back(g, log_softmax_values(z / t))
     # t = maximum(stat, epsilon) * scale, back to the statistic
     g_t = np.add((-g * z / (t * t)).sum(axis=1, keepdims=True), 0.0)
-    return [g / t, *stat_parts(np.add(np.add(g_t * scale, 0.0) * (stat > rule.epsilon), 0.0))]
-
-
-def _row_stat(rule, z, corrected):
-    """A per-sample rule's row statistic of ``z`` and the backward rules of the
-    nodes that make it: the statistic's gradient to their parts of ``z``'s."""
+    g_stat = np.add(np.add(g_t * scale, 0.0) * (stat > rule.epsilon), 0.0)
     if isinstance(rule, NormStd):
-        stat = std_rows(z, corrected)
-
-        def std_back(g):
-            denom = (z.shape[1] - (1 if corrected else 0)) * stat
-            coef = np.where(denom > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
-            return [(z - z.mean(axis=1, keepdims=True)) * coef]
-
-        return stat, std_back
-    rows = np.arange(z.shape[0])[:, None]
-
-    def pick_back(col, g):
-        gx = np.zeros_like(z)
-        gx[rows, col] = g
-        return gx
-
-    hi = z.argmax(axis=1)[:, None]
+        return [g / t, _std_grad(g_stat, z - z.mean(axis=1, keepdims=True), stat, corrected)]
     if isinstance(rule, MaxVal):
-        return z[rows, hi], lambda g: [pick_back(hi, g)]
-    lo = z.argmin(axis=1)[:, None]  # the min's pick is recorded after the max's, so it runs first
-    return z[rows, hi] - z[rows, lo], lambda g: [pick_back(lo, np.add(-g, 0.0)), pick_back(hi, g)]
+        return [g / t, _pick_grad(g_stat, z, hi)]
+    # the min's pick is recorded after the max's, so it runs first
+    return [g / t, _pick_grad(np.add(-g_stat, 0.0), z, lo), _pick_grad(g_stat, z, hi)]
 
 
 def combine(terms):

@@ -284,7 +284,6 @@ def _train_teacher_for_seed(
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    output_dir: Path
     summary_path: Path
     rows: tuple[tuple[str, str, str, str], ...]
     mean_top1: float
@@ -300,13 +299,20 @@ def _write_summary(cfg: ExperimentConfig, name: str, rows: list) -> ExperimentRe
     all_rows = rows + [("aggregate", *rows[0][1:3], f"{mean!r}±{std!r}")]
     summary_path = cfg.output_dir / name
     _write_csv(summary_path, ("seed", "rule", "params", "top1"), all_rows)
-    return ExperimentResult(cfg.output_dir, summary_path, tuple(all_rows), mean, std)
+    return ExperimentResult(summary_path, tuple(all_rows), mean, std)
+
+
+def _read_split(path: Path) -> Dataset:
+    """A dataset split; one with no rows fails here, before any model trains."""
+    data = read_dataset(path)
+    if not data.n_samples:
+        raise ContractError(f"{path}: dataset is empty")
+    return data
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Train (teacher and) student per seed; write caches, histories, summary."""
-    train_ds = read_dataset(cfg.train_data)
-    val_ds = read_dataset(cfg.val_data)
+    train_ds, val_ds = _read_split(cfg.train_data), _read_split(cfg.val_data)
     name, params_label = rule_label(cfg.student.rule)
     # one cache serves every seed, so it is read (and a bad one fails) once, up front
     cached = cfg.teacher_cache is not None and cfg.student.rule is not None
@@ -331,8 +337,7 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
     """Teacher-only runs: train, cache logits, and summarize val accuracy."""
     if cfg.teacher_layers is None:
         raise ConfigError("teacher training requires teacher_layers")
-    train_ds = read_dataset(cfg.train_data)
-    val_ds = read_dataset(cfg.val_data)
+    train_ds, val_ds = _read_split(cfg.train_data), _read_split(cfg.val_data)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         with _seed_dir(cfg.output_dir, seed) as seed_dir:

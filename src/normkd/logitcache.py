@@ -34,9 +34,9 @@ def _record_dtype(c: int) -> np.dtype:
     return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))])
 
 
-def float32_logits(cache: LogitCache) -> np.ndarray:
-    """The logits as written, after every check a write makes: a nonempty
-    cache, ids that fit u32 and logits in the float32 range."""
+def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
+    """Write a cache: nonempty, ids that fit u32 and logits in the float32
+    range, each checked in that order before the file is touched."""
     if not len(require_cache(cache, "write_logit_cache input")):
         raise ContractError("refusing to write an empty logit cache")
     bad_id = (cache.sample_ids < 0) | (cache.sample_ids >= _ID_LIMIT)
@@ -51,12 +51,6 @@ def float32_logits(cache: LogitCache) -> np.ndarray:
     if overflow.any():
         i = int(overflow.argmax())
         raise NumericError(f"record {i} has logits outside the float32 range")
-    return narrowed
-
-
-def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
-    """Write a cache; every check of ``float32_logits`` runs before the file is touched."""
-    narrowed = float32_logits(cache)
     n, c = narrowed.shape
     body = np.empty(n, dtype=_record_dtype(c))
     body["sample_id"] = cache.sample_ids

@@ -12,7 +12,8 @@ tape serves gradient checks, the reference tests and direct callers.
 
 A primitive is a forward value plus a backward rule ``g -> (grad, ...)``,
 one gradient per taped parent, recorded by ``_binary`` (two broadcasting
-operands), ``_unary`` (one operand) or ``_pick`` (one entry per row).  A
+operands), ``_unary`` (one operand) or ``_pick`` (one entry per row); the
+replay calls the ``_*_grad`` rules of log-softmax, std and picks too.  A
 rule reads only arrays the forward made or received, and none of them is
 mutated after recording, so a rule may derive a mask or ``exp(out)`` at
 backward time and get the bits it would have got in the forward.
@@ -228,14 +229,15 @@ def _unary(xt: Tensor | None, out: Array, vjp):
 
 def _pick(xd: Array, xt: Tensor | None, col: Array):
     """One entry per row, ``xd[n, col[n, 0]]``; gradient scatters back to it."""
-    rows = np.arange(xd.shape[0])[:, None]
+    return _unary(xt, xd[np.arange(xd.shape[0])[:, None], col],
+                  lambda g: (_pick_grad(g, xd, col),))
 
-    def vjp(g):
-        gx = np.zeros_like(xd)
-        gx[rows, col] = g
-        return (gx,)
 
-    return _unary(xt, xd[rows, col], vjp)
+def _pick_grad(g, xd: Array, col: Array) -> Array:
+    """Zeros shaped as ``xd`` with ``g`` at ``xd[n, col[n, 0]]``, row by row."""
+    gx = np.zeros_like(xd)
+    gx[np.arange(xd.shape[0])[:, None], col] = g
+    return gx
 
 
 def add(x, y):
@@ -303,7 +305,12 @@ def log_softmax_rows(x):
     """Row-wise log-softmax of a matrix, stabilized by max subtraction."""
     xd, xt = _split(x)
     out = log_softmax_values(xd)
-    return _unary(xt, out, lambda g: (g - np.exp(out) * g.sum(axis=1, keepdims=True),))
+    return _unary(xt, out, lambda g: (_log_softmax_grad(g, out),))
+
+
+def _log_softmax_grad(g, out: Array) -> Array:
+    """The input gradient of a row log-softmax whose output ``out`` gets ``g``."""
+    return g - np.exp(out) * g.sum(axis=1, keepdims=True)
 
 
 def std_rows(x, corrected: bool = True):
@@ -326,13 +333,13 @@ def std_rows(x, corrected: bool = True):
     # only the backward rule reads ``centered``; untaped, square it in place as np.std does
     squares = np.multiply(centered, centered, out=None if xt is not None else centered)
     out = np.sqrt(squares.sum(axis=1, keepdims=True) / (n - ddof))
+    return _unary(xt, out, lambda g: (_std_grad(g, centered, out, corrected),))
 
-    def vjp(g):
-        denom = (n - ddof) * out
-        coef = np.where(denom > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
-        return (centered * coef,)
 
-    return _unary(xt, out, vjp)
+def _std_grad(g, centered: Array, out: Array, corrected: bool) -> Array:
+    """``std_rows``' input gradient from its centered rows and output ``out``."""
+    denom = (centered.shape[1] - (1 if corrected else 0)) * out
+    return centered * np.where(denom > 0.0, g / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
 def max_rows(x):

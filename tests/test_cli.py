@@ -144,6 +144,18 @@ class TestDistillCommand:
         assert not (tmp_path / "out").exists()
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("command", ["distill", "train-teacher"])
+    def test_empty_split_exits_4_before_training(self, tmp_path, capsys, command, split):
+        gen_data(tmp_path)
+        (tmp_path / f"blobs.{split}.txt").write_text("3 4 0\n")
+        cfg = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / f'blobs.{split}.txt'}: dataset is empty" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_dataset_header_exits_3(self, tmp_path, capsys):
         gen_data(tmp_path)
         (tmp_path / "blobs.train.txt").write_text("3 -1 2\n0,1.0\n1,2.0\n")

@@ -174,9 +174,8 @@ class TestKdLoss:
         z_t = rng.normal(size=(6, 4))
         labels = rng.integers(0, 4, size=6)
         rep = kd_loss(z_s, z_t, labels, temperature=4.0, alpha=0.1, beta=0.9)
-        assert abs(rep.total - (rep.alpha * rep.ce_part + rep.beta * rep.kld_part)) < 1e-10
+        assert abs(rep.total - (0.1 * rep.ce_part + 0.9 * rep.kld_part)) < 1e-10
         np.testing.assert_array_equal(rep.per_sample_weight, np.full(6, 16.0))
-        assert rep.batch_size == 6
         assert np.all(rep.per_sample_weight > 0)
 
     def test_batch_oracle_equivalence(self):
@@ -659,3 +658,36 @@ class TestLogitGradReplay:
         for labels in ([0, 1, 4], [0, 1]):  # out of range, wrong length
             with pytest.raises(NumericError, match="student logits contain non-finite entries"):
                 logit_grad(NormStd(2.0), z, side, labels, 0.1, 0.9, True, False)
+
+
+def _empty_batch_calls():
+    """Every loss entry point, and ``logit_grad`` with and without a teacher,
+    as a function of the student logits, on a batch of no rows."""
+    z_t, labels = np.zeros((0, 4)), np.zeros(0, dtype=np.int64)
+    side = teacher_side(NormStd(2.0), z_t)
+    return {
+        "distill_loss": lambda z: distill_loss(NormStd(2.0), z, z_t, labels).node,
+        "kd_loss": lambda z: kd_loss(z, z_t, labels, 4.0).node,
+        "normkd_loss": lambda z: normkd_loss(z, z_t).node,
+        "multi_temp_kld": lambda z: multi_temp_kld(z, z_t, [1.0, 2.0]),
+        "cross_entropy": lambda z: cross_entropy(z, labels),
+        "logit_grad": lambda z: logit_grad(NormStd(2.0), z, side, labels, 0.1, 0.9, True, False),
+        "logit_grad_no_teacher": lambda z: logit_grad(None, z, None, labels, 1.0, 0.0, True, False),
+    }
+
+
+@pytest.mark.parametrize(
+    "name,taped",
+    [(name, False) for name in _empty_batch_calls()]
+    + [(name, True) for name in _empty_batch_calls() if not name.startswith("logit_grad")],
+)
+def test_empty_batch_raises_one_dimension_error(name, taped):
+    """A batch of no rows is refused by the student checks, plain or taped, not
+    averaged into NaN or divided by zero when the tape runs backward."""
+    call = _empty_batch_calls()[name]
+    tape = Tape()
+    z = tape.leaf(np.zeros((0, 4))) if taped else np.zeros((0, 4))
+    with pytest.raises(DimensionError, match=r"^student logits have no rows, shape \(0, 4\)$"):
+        out = call(z)
+        if taped:
+            tape.backward(out)

@@ -12,6 +12,9 @@ from normkd.errors import ContractError, NumericError
 from normkd.numcore import (
     Tape,
     Tensor,
+    _log_softmax_grad,
+    _pick_grad,
+    _std_grad,
     add,
     divide,
     exp,
@@ -427,3 +430,49 @@ class TestTapeOwnership:
 def test_leaf_rejects_non_finite():
     with pytest.raises(NumericError):
         Tape().leaf(np.array([1.0, np.inf]))
+
+
+class TestSharedBackwardRules:
+    """The rules ``distill.logit_grad`` shares with the tape give, from the
+    gradient a node received, its leaf's gradient bit for bit: the first
+    contribution plus 0.0, under a random upstream gradient."""
+
+    @staticmethod
+    def _received_and_leaf(op, x):
+        """The gradient ``op(x)``'s node received and its leaf's, under a random
+        upstream gradient."""
+        tape = Tape()
+        leaf = tape.leaf(x)
+        out = op(leaf)
+        upstream = np.random.default_rng(3).normal(size=out.data.shape)
+        tape.backward(sum_all(multiply(out, upstream)))
+        return out.grad, out.data, leaf.grad
+
+    def test_log_softmax_rows(self):
+        x = np.random.default_rng(5).normal(0.0, 2.0, size=(6, 5))
+        g, out, want = self._received_and_leaf(log_softmax_rows, x)
+        assert np.add(_log_softmax_grad(g, out), 0.0).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_std_rows_with_a_constant_row(self, corrected):
+        x = np.random.default_rng(7).normal(0.0, 2.0, size=(6, 5))
+        x[2] = 1.5
+        g, out, want = self._received_and_leaf(lambda t: std_rows(t, corrected), x)
+        centered = x - x.mean(axis=1, keepdims=True)
+        assert np.add(_std_grad(g, centered, out, corrected), 0.0).tobytes() == want.tobytes()
+        assert not want[2].any()
+
+    @pytest.mark.parametrize("name", ["max_rows", "min_rows", "gather_rows"])
+    def test_picks_on_rows_with_ties(self, name):
+        x = np.random.default_rng(11).normal(0.0, 2.0, size=(6, 5))
+        x[:, 3] = x.max(axis=1)  # every row's maximum twice: the first index is picked
+        x[::2, 4] = x[::2].min(axis=1)
+        labels = np.array([0, 3, 4, 1, 3, 2])
+        op, col = {
+            "max_rows": (max_rows, x.argmax(axis=1)),
+            "min_rows": (min_rows, x.argmin(axis=1)),
+            "gather_rows": (lambda t: gather_rows(t, labels), labels),
+        }[name]
+        g, _, want = self._received_and_leaf(op, x)
+        assert np.add(_pick_grad(g, x, col[:, None]), 0.0).tobytes() == want.tobytes()
+        assert ((want != 0.0).sum(axis=1) == 1).all()  # one entry per row, ties or not
