@@ -159,10 +159,15 @@ def multi_temp_prediction(logits, temps) -> np.ndarray:
     return acc / float(len(temps))
 
 
-def _check_student(student_logits) -> np.ndarray:
+def _student_matrix(student_logits) -> np.ndarray:
     z_s = value_of(student_logits)
     if z_s.ndim != 2:
         raise DimensionError(f"student logits must be (N, C), got shape {z_s.shape}")
+    return z_s
+
+
+def _check_student(student_logits) -> np.ndarray:
+    z_s = _student_matrix(student_logits)
     if not z_s.shape[0]:
         raise DimensionError(f"student logits have no rows, shape {z_s.shape}")
     if not np.isfinite(z_s).all():
@@ -198,7 +203,7 @@ def _as_labels(labels, n: int, c: int) -> np.ndarray:
 
 def cross_entropy(student_logits, labels):
     """Mean over the batch of -log softmax(z)[label], at temperature 1."""
-    z_s = value_of(student_logits)
+    z_s = _student_matrix(student_logits)
     labels = _as_labels(labels, z_s.shape[0], z_s.shape[1])
     log_p = log_softmax_rows(student_logits)
     return mean_all(multiply(gather_rows(log_p, labels), -1.0))

@@ -65,14 +65,16 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, read_dataset
-from .distill import combine, kd_loss, multi_temp_kld, normkd_loss, distill_loss
+from .distill import _rule_kld, combine, side_loss, teacher_side
 from .errors import ConfigError, ContractError
 from .ioutil import atomic_write_text
 from .logitcache import read_logit_cache, write_logit_cache
 from .logitstats import (
+    Fixed,
     LogitCache,
     LogitSummary,
     MaxVal,
+    MultiSet,
     NormStd,
     Range,
     parse_rule,
@@ -464,6 +466,12 @@ def _with_flipped_gradient(fn):
 def _loss_instance(name: str, rng: np.random.Generator):
     """One random (loss function, student point) pair for the audit.
 
+    The teacher side is built once per instance, not once per probe: the
+    function is ``side_loss`` (``_rule_kld`` for the KL-only losses) on
+    that side, whose value and taped gradient are, byte for byte, those of
+    the public entry point it stands for (``kd_loss``, ``multi_temp_kld``,
+    ``normkd_loss``, ``distill_loss``).
+
     The MaxVal instances shift all logits upward so the student's row
     maximum stays well above the epsilon floor: at the floor the
     temperature collapses to ~1e-8 and the loss, though finite and
@@ -478,27 +486,30 @@ def _loss_instance(name: str, rng: np.random.Generator):
     z_s = rng.normal(shift, 1.5, (n, c))
     labels = rng.integers(0, c, n)
     if name == "kd":
-        t = float(rng.uniform(1.0, 5.0))
-        return lambda s: kd_loss(s, z_t, labels, t, alpha=0.3, beta=0.7).node, z_s
-    if name == "multi_temp":
-        k = int(rng.integers(1, 4))
-        temps = tuple(float(t) for t in rng.uniform(0.5, 6.0, k))
-        return lambda s: multi_temp_kld(s, z_t, temps), z_s
-    if name == "normkd":
-        t_norm = float(rng.uniform(0.5, 3.0))
-        return lambda s: normkd_loss(s, z_t, t_norm).node, z_s
+        rule = Fixed(float(rng.uniform(1.0, 5.0)))
+        side = teacher_side(rule, z_t)
+        return lambda s: side_loss(rule, s, side, labels, 0.3, 0.7, True, False).node, z_s
+    if name in ("multi_temp", "normkd"):
+        if name == "multi_temp":
+            k = int(rng.integers(1, 4))
+            rule = MultiSet(tuple(float(t) for t in rng.uniform(0.5, 6.0, k)))
+        else:
+            rule = NormStd(float(rng.uniform(0.5, 3.0)))
+        side = teacher_side(rule, z_t)
+        return lambda s: _rule_kld(rule, s, side, True, False)[0], z_s
     if name in ("maxval", "range"):
         rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
-        return lambda s: distill_loss(rule, s, z_t, labels, alpha=0.2, beta=0.8).node, z_s
+        side = teacher_side(rule, z_t)
+        return lambda s: side_loss(rule, s, side, labels, 0.2, 0.8, True, False).node, z_s
     if name == "combine":
-        t = float(rng.uniform(1.0, 5.0))
-        t_norm = float(rng.uniform(0.5, 3.0))
+        kd, norm = Fixed(float(rng.uniform(1.0, 5.0))), NormStd(float(rng.uniform(0.5, 3.0)))
+        kd_side, norm_side = teacher_side(kd, z_t), teacher_side(norm, z_t)
 
         def fn(s):
             return combine(
                 [
-                    (0.6, normkd_loss(s, z_t, t_norm).node),
-                    (0.4, kd_loss(s, z_t, labels, t, alpha=0.0, beta=1.0).node),
+                    (0.6, _rule_kld(norm, s, norm_side, True, False)[0]),
+                    (0.4, side_loss(kd, s, kd_side, labels, 0.0, 1.0, True, False).node),
                 ]
             )
 

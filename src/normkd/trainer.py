@@ -156,7 +156,10 @@ def forward(params: Params, x) -> np.ndarray:
 
 
 def evaluate(params: Params, data: Dataset) -> float:
-    """Top-1 accuracy; argmax ties resolve to the lowest class index."""
+    """Top-1 accuracy; argmax ties resolve to the lowest class index.  A dataset
+    with no rows has none, and is a ContractError."""
+    if data.n_samples == 0:
+        raise ContractError("evaluation dataset is empty")
     logits = forward(params, data.features)
     return float(np.mean(logits.argmax(axis=1) == data.labels))
 
@@ -256,10 +259,13 @@ def train(
     History records ce/kld/total/top1 per epoch for the train split and,
     when ``val_data`` is given, the validation split; validation rows
     report plain cross entropy (kld 0), since teacher logits are cached
-    for training samples only.
+    for training samples only.  An empty training or validation split is a
+    ContractError, raised before any step.
     """
     if train_data.n_samples == 0:
         raise ContractError("training dataset is empty")
+    if val_data is not None and val_data.n_samples == 0:
+        raise ContractError("validation dataset is empty")
     if spec.layer_widths[0] != train_data.num_features:
         raise ContractError(
             f"spec input width {spec.layer_widths[0]} != dataset features "

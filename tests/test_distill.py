@@ -691,3 +691,18 @@ def test_empty_batch_raises_one_dimension_error(name, taped):
         out = call(z)
         if taped:
             tape.backward(out)
+
+
+@pytest.mark.parametrize("name", ["cross_entropy", "kd_loss", "normkd_loss", "distill_loss"])
+def test_one_dimensional_student_raises_one_dimension_error(name):
+    """A 1-D student is refused by its shape, with one message for every entry point,
+    before cross entropy indexes its class axis."""
+    z_t, labels = np.zeros((1, 4)), [0]
+    call = {
+        "cross_entropy": lambda z: cross_entropy(z, labels),
+        "kd_loss": lambda z: kd_loss(z, z_t, labels, 4.0),
+        "normkd_loss": lambda z: normkd_loss(z, z_t),
+        "distill_loss": lambda z: distill_loss(NormStd(2.0), z, z_t, labels),
+    }[name]
+    with pytest.raises(DimensionError, match=r"^student logits must be \(N, C\), got shape \(4,\)$"):
+        call(np.zeros(4))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from normkd.datasets import make_blobs, write_dataset
+from normkd.distill import combine, distill_loss, kd_loss, multi_temp_kld, normkd_loss
 from normkd.errors import ConfigError, ContractError, FileFormatError
 from normkd.experiment import (
     GRAD_CHECK_LOSSES,
+    GRAD_CHECK_SEED,
     GRAD_CHECK_TOLERANCE,
     analyze,
     frobenius,
@@ -21,7 +23,8 @@ from normkd.experiment import (
 )
 from normkd import experiment
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import Fixed, LogitCache, sample_std
+from normkd.logitstats import Fixed, LogitCache, MaxVal, Range, sample_std
+from normkd.numcore import Tape
 from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, init_mlp, train
 
 
@@ -397,6 +400,59 @@ class TestAnalyzeDemoRun:
             cache_teacher_logits(t_params, val_ds), cache_teacher_logits(s_params, val_ds)
         )
         assert frobenius(result.norm_matrix) < frobenius(result.raw_matrix)
+
+
+def _public_instance(name, rng):
+    """The audit's instance ``name``, drawn from ``rng`` in ``_loss_instance``'s
+    order, as a function of the student through the public loss entry points."""
+    n = int(rng.integers(2, 5))
+    c = int(rng.integers(3, 7))
+    shift = 2.0 if name == "maxval" else 0.0
+    z_t = rng.normal(shift, 1.5, (n, c))
+    z_s = rng.normal(shift, 1.5, (n, c))
+    labels = rng.integers(0, c, n)
+    if name == "kd":
+        t = float(rng.uniform(1.0, 5.0))
+        return lambda s: kd_loss(s, z_t, labels, t, alpha=0.3, beta=0.7).node, z_s
+    if name == "multi_temp":
+        k = int(rng.integers(1, 4))
+        temps = tuple(float(t) for t in rng.uniform(0.5, 6.0, k))
+        return lambda s: multi_temp_kld(s, z_t, temps), z_s
+    if name == "normkd":
+        t_norm = float(rng.uniform(0.5, 3.0))
+        return lambda s: normkd_loss(s, z_t, t_norm).node, z_s
+    if name in ("maxval", "range"):
+        rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
+        return lambda s: distill_loss(rule, s, z_t, labels, alpha=0.2, beta=0.8).node, z_s
+    t = float(rng.uniform(1.0, 5.0))
+    t_norm = float(rng.uniform(0.5, 3.0))
+    return lambda s: combine(
+        [
+            (0.6, normkd_loss(s, z_t, t_norm).node),
+            (0.4, kd_loss(s, z_t, labels, t, alpha=0.0, beta=1.0).node),
+        ]
+    ), z_s
+
+
+def _taped_bytes(fn, z):
+    tape = Tape()
+    leaf = tape.leaf(z)
+    out = fn(leaf)
+    tape.backward(out)
+    return out.data.tobytes(), leaf.grad.tobytes()
+
+
+@pytest.mark.parametrize("name", GRAD_CHECK_LOSSES)
+def test_audit_instances_equal_the_public_losses(name):
+    """Each audit instance builds its teacher side once, and its loss on that side
+    has the value and taped gradient bytes of the public entry point it stands for."""
+    stream = (GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name))
+    audit_rng, public_rng = np.random.default_rng(stream), np.random.default_rng(stream)
+    for _ in range(5):
+        fn, z_s = experiment._loss_instance(name, audit_rng)
+        public, z_public = _public_instance(name, public_rng)
+        assert z_s.tobytes() == z_public.tobytes()
+        assert _taped_bytes(fn, z_s) == _taped_bytes(public, z_s)
 
 
 class TestGradientCheckSuite:

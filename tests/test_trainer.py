@@ -308,8 +308,21 @@ class TestTrain:
         with pytest.raises(ContractError):
             train(MlpSpec((4, 6, 2)), cfg, train_ds)
 
+    def test_empty_val_split_rejected_before_training(self):
+        train_ds, _ = make_blobs(3, 4, 10, 3.0, 0)
+        val_ds = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
+        cfg = TrainConfig(epochs=2, lr_decay_epochs=())
+        with pytest.raises(ContractError, match="^validation dataset is empty$"):
+            train(MlpSpec((4, 3, 3)), cfg, train_ds, None, val_ds)
+
 
 class TestEvaluate:
+    def test_empty_dataset_rejected(self):
+        params = init_mlp(MlpSpec((4, 3, 3)))
+        empty = Dataset(np.zeros((0, 4)), np.zeros(0, dtype=np.int64), 3)
+        with pytest.raises(ContractError, match="^evaluation dataset is empty$"):
+            evaluate(params, empty)
+
     def test_one_hot_model_is_perfect(self):
         feats = np.eye(3)
         data = Dataset(feats, np.arange(3), 3)
