@@ -15,10 +15,13 @@ student training per rule: parameters, history and logit caches; a depth-3
 run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
 temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
-Last come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
-big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  A case that
-raises contributes its error type and message instead.  Nothing is
-written to disk.
+Then come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  Last come
+``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
+default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
+instances=5`` for each of the audit's losses.  A case that raises
+contributes its error type and message instead.  Nothing is written to
+disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and
@@ -236,6 +239,27 @@ def big_forwards(d: Digest) -> int:
     return len(BIG_WIDTHS)
 
 
+def grad_checks(d: Digest) -> int:
+    from normkd import gradient_check_suite
+
+    def call(**kwargs):
+        d.part(f"gradient_check_suite({', '.join(f'{k}={v!r}' for k, v in kwargs.items())})")
+        try:
+            results = gradient_check_suite(**kwargs)
+        except Exception as exc:  # a raising call is part of the behaviour digested
+            d.add(type(exc).__name__, str(exc))
+            return []
+        for name, err in results:
+            d.add(name, err.hex())
+        return [name for name, _ in results]
+
+    names = call()
+    call(instances=7, step=1e-6)
+    for name in names:
+        call(inject_fault=name, instances=5)
+    return 2 + len(names)
+
+
 DESK_DATA = ["--classes", "10", "--dim", "16", "--per-class", "200", "--separation", "2.0"]
 DESK_RECIPE = {
     "train_data": "demo.train.txt",
@@ -378,7 +402,7 @@ def main(argv=None) -> int:
         summary = f"{cli_parts(d)} CLI commands"
     else:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
-                   f"{big_forwards(d)} large-batch forwards")
+                   f"{big_forwards(d)} large-batch forwards, {grad_checks(d)} grad-check calls")
     if args.each:
         for name, h in d.parts.items():
             print(f"{h.hexdigest()}  {name}")
