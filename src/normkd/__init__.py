@@ -15,6 +15,7 @@ from .distill import (
     combine,
     cross_entropy,
     distill_loss,
+    gradient_check_suite,
     kd_loss,
     kl_divergence,
     multi_temp_kld,
@@ -34,7 +35,6 @@ from .errors import (
 from .experiment import (
     ExperimentConfig,
     analyze,
-    gradient_check_suite,
     load_experiment_config,
     run_experiment,
     run_teacher_training,

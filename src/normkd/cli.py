@@ -13,13 +13,11 @@ import sys
 import numpy as np
 
 from .datasets import make_blobs, write_dataset
+from .distill import GRAD_CHECK_LOSSES, GRAD_CHECK_TOLERANCE, gradient_check_suite
 from .errors import ContractError, NormKDError
 from .experiment import (
-    GRAD_CHECK_LOSSES,
-    GRAD_CHECK_TOLERANCE,
     analyze,
     frobenius,
-    gradient_check_suite,
     load_experiment_config,
     run_experiment,
     run_teacher_training,

@@ -47,13 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .logitstats import (
     DEFAULT_EPSILON,
     Fixed,
     MaxVal,
     MultiSet,
     NormStd,
+    Range,
     TemperatureRule,
     row_temperatures,
     temperature_for,
@@ -69,6 +70,7 @@ from .numcore import (
     divide,
     exp,
     gather_rows,
+    grad_check,
     log,
     log_softmax_rows,
     log_softmax_values,
@@ -83,6 +85,9 @@ from .numcore import (
 DEFAULT_T_NORM = 2.0
 DEFAULT_ALPHA = 0.1
 DEFAULT_BETA = 0.9
+GRAD_CHECK_LOSSES = ("kd", "multi_temp", "normkd", "maxval", "range", "combine")
+GRAD_CHECK_TOLERANCE = 1e-4
+GRAD_CHECK_SEED = 20250809
 
 
 @dataclass(eq=False)
@@ -439,3 +444,110 @@ def combine(terms):
         piece = multiply(term, float(weight))
         total = piece if total is None else add(total, piece)
     return total if isinstance(total, Tensor) else float(value_of(total))
+
+
+# ---------------------------------------------------------------------------
+# Finite-difference audit of every loss
+
+
+def _with_flipped_gradient(fn):
+    """Wrap a loss so its analytic gradient (not its value) flips sign.
+
+    Only used to demonstrate that the finite-difference audit catches a
+    wrong backward rule.
+    """
+
+    def flipped(student):
+        out = fn(student)
+        return subtract(multiply(value_of(out), 2.0), out)  # 2v - v is v exactly
+
+    return flipped
+
+
+def _loss_instance(name: str, rng: np.random.Generator):
+    """One random (loss function, student point) pair for the audit.
+
+    The teacher side is built once per instance, not once per probe: the
+    function is ``side_loss`` (``_rule_kld`` for the KL-only losses) on
+    that side, whose value and taped gradient are, byte for byte, those of
+    the public entry point it stands for (``kd_loss``, ``multi_temp_kld``,
+    ``normkd_loss``, ``distill_loss``).
+
+    The MaxVal instances shift all logits upward so the student's row
+    maximum stays well above the epsilon floor: at the floor the
+    temperature collapses to ~1e-8 and the loss, though finite and
+    correctly differentiated, is too ill-conditioned for a 1e-5
+    finite-difference probe.  Derivatives are checked on the smooth
+    branch, like every other kink in the suite.
+    """
+    n = int(rng.integers(2, 5))
+    c = int(rng.integers(3, 7))
+    shift = 2.0 if name == "maxval" else 0.0
+    z_t = rng.normal(shift, 1.5, (n, c))
+    z_s = rng.normal(shift, 1.5, (n, c))
+    labels = rng.integers(0, c, n)
+    if name == "kd":
+        rule = Fixed(float(rng.uniform(1.0, 5.0)))
+        side = teacher_side(rule, z_t)
+        return lambda s: side_loss(rule, s, side, labels, 0.3, 0.7, True, False).node, z_s
+    if name in ("multi_temp", "normkd"):
+        if name == "multi_temp":
+            k = int(rng.integers(1, 4))
+            rule = MultiSet(tuple(float(t) for t in rng.uniform(0.5, 6.0, k)))
+        else:
+            rule = NormStd(float(rng.uniform(0.5, 3.0)))
+        side = teacher_side(rule, z_t)
+        return lambda s: _rule_kld(rule, s, side, True, False)[0], z_s
+    if name in ("maxval", "range"):
+        rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
+        side = teacher_side(rule, z_t)
+        return lambda s: side_loss(rule, s, side, labels, 0.2, 0.8, True, False).node, z_s
+    if name == "combine":
+        kd, norm = Fixed(float(rng.uniform(1.0, 5.0))), NormStd(float(rng.uniform(0.5, 3.0)))
+        kd_side, norm_side = teacher_side(kd, z_t), teacher_side(norm, z_t)
+
+        def fn(s):
+            return combine(
+                [
+                    (0.6, _rule_kld(norm, s, norm_side, True, False)[0]),
+                    (0.4, side_loss(kd, s, kd_side, labels, 0.0, 1.0, True, False).node),
+                ]
+            )
+
+        return fn, z_s
+    raise ContractError(f"unknown loss {name!r}")
+
+
+def gradient_check_suite(
+    instances: int = 100,
+    step: float = 1e-5,
+    inject_fault: str | None = None,
+) -> list[tuple[str, float]]:
+    """Max finite-difference relative error per loss over random instances.
+
+    Returns one (name, max_error) row per implemented loss; every error
+    should sit below GRAD_CHECK_TOLERANCE.  The instances are drawn from
+    GRAD_CHECK_SEED, so every call with the same arguments is identical.
+    ``inject_fault`` names a loss
+    whose analytic gradient gets sign-flipped, as a sensitivity self-test
+    of the audit itself.
+    """
+    if instances < 1:
+        raise ConfigError(f"instances must be at least 1, got {instances}")
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"step must be finite and positive, got {step}")
+    if inject_fault is not None and inject_fault not in GRAD_CHECK_LOSSES:
+        raise ConfigError(
+            f"unknown loss {inject_fault!r}; choose from {', '.join(GRAD_CHECK_LOSSES)}"
+        )
+    results = []
+    for name in GRAD_CHECK_LOSSES:
+        rng = np.random.default_rng((GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name)))
+        worst = 0.0
+        for _ in range(instances):
+            fn, z_s = _loss_instance(name, rng)
+            if inject_fault == name:
+                fn = _with_flipped_gradient(fn)
+            worst = max(worst, grad_check(fn, z_s, step))
+        results.append((name, worst))
+    return results

@@ -17,6 +17,8 @@ import mpmath as mp
 
 from normkd.datasets import make_blobs, write_dataset
 from normkd.distill import (
+    GRAD_CHECK_TOLERANCE,
+    gradient_check_suite,
     kd_loss,
     kl_divergence,
     multi_temp_kld,
@@ -25,12 +27,7 @@ from normkd.distill import (
     soften,
 )
 from normkd.errors import FileFormatError, NormKDError
-from normkd.experiment import (
-    GRAD_CHECK_TOLERANCE,
-    gradient_check_suite,
-    load_experiment_config,
-    run_experiment,
-)
+from normkd.experiment import load_experiment_config, run_experiment
 from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import Fixed, MaxVal, MultiSet, NormStd, Range, sample_std, temperature_for
 from normkd.trainer import MlpSpec, TrainConfig, train

@@ -7,21 +7,27 @@ import numpy as np
 import pytest
 
 from normkd.datasets import make_blobs, write_dataset
-from normkd.distill import combine, distill_loss, kd_loss, multi_temp_kld, normkd_loss
-from normkd.errors import ConfigError, ContractError, FileFormatError
-from normkd.experiment import (
+from normkd.distill import (
     GRAD_CHECK_LOSSES,
     GRAD_CHECK_SEED,
     GRAD_CHECK_TOLERANCE,
+    combine,
+    distill_loss,
+    gradient_check_suite,
+    kd_loss,
+    multi_temp_kld,
+    normkd_loss,
+)
+from normkd.errors import ConfigError, ContractError, FileFormatError
+from normkd.experiment import (
     analyze,
     frobenius,
-    gradient_check_suite,
     load_experiment_config,
     run_experiment,
     run_teacher_training,
     write_analysis,
 )
-from normkd import experiment
+from normkd import distill, experiment
 from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import Fixed, LogitCache, MaxVal, Range, sample_std
 from normkd.numcore import Tape
@@ -449,7 +455,7 @@ def test_audit_instances_equal_the_public_losses(name):
     stream = (GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name))
     audit_rng, public_rng = np.random.default_rng(stream), np.random.default_rng(stream)
     for _ in range(5):
-        fn, z_s = experiment._loss_instance(name, audit_rng)
+        fn, z_s = distill._loss_instance(name, audit_rng)
         public, z_public = _public_instance(name, public_rng)
         assert z_s.tobytes() == z_public.tobytes()
         assert _taped_bytes(fn, z_s) == _taped_bytes(public, z_s)
