@@ -96,6 +96,8 @@ def make_blobs(
         raise ContractError(f"need at least 1 feature, got {dim}")
     if not separation > 0.0:
         raise ContractError(f"separation must be positive, got {separation}")
+    if seed < 0:
+        raise ContractError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     centers = _place_centers(rng, classes, dim, separation)
     n_train = per_class * 4 // 5

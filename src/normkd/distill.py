@@ -28,7 +28,8 @@ squared teacher temperature.  ``kd_loss``, ``multi_temp_kld``,
 ``normkd_loss`` and ``distill_loss`` are thin wrappers over the two.
 No training step tapes them: ``logit_grad`` replays the backward of
 ``side_loss`` taped at the student logits on plain arrays, node by node,
-and gives the same gradient bytes.
+and gives the same gradient bytes.  ``gradient_check_suite`` audits the
+taped gradient of every loss, ``combine`` included, by central differences.
 
 The per-sample losses floor each sample's statistic at ``epsilon`` before
 scaling, so no row divides by zero.  That makes a constant row soften to

@@ -182,6 +182,8 @@ def load_experiment_config(path: Path | str, env=None) -> ExperimentConfig:
         raise ConfigError("seed list is empty")
     if any(s < 0 for s in seeds):
         raise ConfigError(f"seeds must be nonnegative, got {seeds}")
+    if any(s >= 2**64 for s in seeds):
+        raise ConfigError(f"seeds must be below 2**64, got {seeds}")
     if len(set(seeds)) != len(seeds):
         raise ConfigError(f"seeds must be distinct, got {seeds}")
 

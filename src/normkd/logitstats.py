@@ -26,6 +26,7 @@ It is the only type that carries logits across a module boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -110,10 +111,12 @@ def require_cache(value, name: str) -> LogitCache:
 def _require_positive(value: float, name: str) -> None:
     if not value > 0.0:
         raise ContractError(f"{name} must be strictly positive, got {value}")
+    if value == math.inf:
+        raise ContractError(f"{name} must be finite, got {value}")
 
 
 class _PositiveFields:
-    """A rule whose every field must be strictly positive, checked in field order."""
+    """A rule whose every field must be finite and strictly positive, checked in field order."""
 
     def __post_init__(self):
         for f in fields(self):

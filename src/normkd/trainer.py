@@ -48,6 +48,8 @@ class MlpSpec:
             raise ConfigError(f"need at least [input, classes] widths, got {widths}")
         if any(w < 1 for w in widths):
             raise ConfigError(f"layer widths must be positive, got {widths}")
+        if self.init_seed < 0:
+            raise ConfigError(f"init_seed must be nonnegative, got {self.init_seed}")
         object.__setattr__(self, "layer_widths", widths)
 
 
@@ -97,6 +99,8 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_rate must be positive, got {self.lr_decay_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        if self.seed >= 2**64:  # the high half of each epoch's 128-bit Philox key
+            raise ConfigError(f"seed must be below 2**64, got {self.seed}")
         for key in ("learning_rate", "weight_decay", "lr_decay_rate", "alpha", "beta"):
             if not math.isfinite(getattr(self, key)):
                 raise ConfigError(f"{key} must be finite, got {getattr(self, key)}")

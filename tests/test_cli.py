@@ -46,6 +46,11 @@ class TestGenData:
         assert gen_data(tmp_path, classes=1) == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        assert gen_data(tmp_path, seed=-1) == 4
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+        assert not list(tmp_path.iterdir())
+
     def test_impossible_geometry_exits_2(self, tmp_path, capsys):
         assert gen_data(tmp_path, separation=1e308) == 2
         assert "error:" in capsys.readouterr().err
@@ -102,6 +107,22 @@ class TestDistillCommand:
         assert main(["distill", "--config", str(cfg)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out" / "seed0").exists()
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            (f"seeds = {2**64}", f"seeds must be below 2**64, got ({2**64},)"),
+            ("rule = fixed:inf", "bad temperature rule 'fixed:inf': temperature must be finite"),
+        ],
+    )
+    def test_out_of_range_seed_or_infinite_rule_exits_2(self, tmp_path, capsys, line, message):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra=line + "\n", drop=(line.split()[0],))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["distill", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_cache_shape_mismatch_exits_4(self, tmp_path):
         gen_data(tmp_path)
@@ -260,6 +281,22 @@ class TestAnalyzeCommand:
         captured = capsys.readouterr()
         assert "t_norm must be strictly positive" in captured.err
         assert "frobenius" not in captured.out
+        assert not (tmp_path / "x").exists()
+
+
+    def test_infinite_t_norm_exits_4(self, tmp_path, capsys):
+        write_logit_cache(tmp_path / "a.nkdl", rows([[1.0, 0.0, 2.0]], [0]))
+        argv = [
+            "analyze",
+            "--teacher-cache", str(tmp_path / "a.nkdl"),
+            "--student-cache", str(tmp_path / "a.nkdl"),
+            "--out-dir", str(tmp_path / "x"),
+            "--t-norm", "inf",
+        ]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: t_norm must be finite, got inf\n"
+        assert not captured.out
         assert not (tmp_path / "x").exists()
 
 

@@ -108,6 +108,18 @@ class TestConfigParsing:
         assert cfg.student.epochs == 120
         assert cfg.student.lr_decay_epochs == (75, 90, 105)
 
+    @pytest.mark.parametrize(
+        "seeds,env", [(str(2**64), {}), ("0,1", {"NORMKD_SEED": f"0,{2**64}"})]
+    )
+    def test_seed_of_2_to_the_64_rejected(self, tmp_path, seeds, env):
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", f"seeds = {seeds}"))
+        with pytest.raises(ConfigError, match=r"seeds must be below 2\*\*64"):
+            load_experiment_config(path, env=env)
+
+    def test_largest_seed_accepted(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", f"seeds = {2**64 - 1}"))
+        assert load_experiment_config(path, env={}).seeds == (2**64 - 1,)
+
     def test_repeated_seeds_rejected(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG.replace("seeds = 0,1", "seeds = 1,1,2"))
         with pytest.raises(ConfigError, match="seeds must be distinct"):
@@ -468,10 +480,25 @@ class TestGradientCheckSuite:
         for name, err in results:
             assert err <= GRAD_CHECK_TOLERANCE, (name, err)
 
-    def test_injected_fault_detected(self):
-        results = dict(gradient_check_suite(instances=2, inject_fault="normkd"))
-        assert results["normkd"] >= 0.5
-        assert results["kd"] <= GRAD_CHECK_TOLERANCE
+    @pytest.mark.parametrize("name", GRAD_CHECK_LOSSES)
+    def test_injected_fault_detected(self, name):
+        results = dict(gradient_check_suite(instances=2, inject_fault=name))
+        assert results.pop(name) >= 0.5
+        for other, err in results.items():
+            assert err <= GRAD_CHECK_TOLERANCE, (other, err)
+        # the flip keeps the taped value's bytes and negates the leaf gradient
+        rng = np.random.default_rng((GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name)))
+        fn, z_s = distill._loss_instance(name, rng)
+        taped = []
+        for f in (fn, distill._with_flipped_gradient(fn)):
+            tape = Tape()
+            leaf = tape.leaf(z_s)
+            out = f(leaf)
+            tape.backward(out)
+            taped.append((np.asarray(out.data).tobytes(), leaf.grad))
+        (value, grad), (flipped_value, flipped_grad) = taped
+        assert flipped_value == value
+        assert np.array_equal(flipped_grad, -grad)
 
     def test_unknown_fault_rejected(self):
         with pytest.raises(ConfigError):

@@ -50,6 +50,10 @@ class TestMakeBlobs:
         with pytest.raises(ContractError):
             make_blobs(3, 2, 1, 1.0, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ContractError, match="seed must be nonnegative, got -1"):
+            make_blobs(3, 2, 4, 1.0, seed=-1)
+
     def test_wide_margin_pair_is_linearly_separable(self):
         from normkd.trainer import MlpSpec, TrainConfig, evaluate, train
 

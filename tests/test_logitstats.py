@@ -300,6 +300,25 @@ class TestRuleParsing:
         with pytest.raises(ConfigError):
             parse_rule(text)
 
+    @pytest.mark.parametrize(
+        "text,name",
+        [("fixed:inf", "temperature"), ("normstd:inf", "t_norm"),
+         ("multiset:1,inf", "temperature"), ("maxval:2:inf", "epsilon"), ("range:inf", "t_v")],
+    )
+    def test_parse_rejects_infinite_parameters(self, text, name):
+        with pytest.raises(ConfigError, match=f"{name} must be finite, got inf"):
+            parse_rule(text)
+
+    @pytest.mark.parametrize(
+        "make", [lambda v: Fixed(v), lambda v: MultiSet((1.0, v)), lambda v: NormStd(v),
+                 lambda v: NormStd(2.0, v), lambda v: MaxVal(v), lambda v: Range(1.0, v)],
+    )
+    def test_rules_reject_infinity_after_the_positivity_check(self, make):
+        with pytest.raises(ContractError, match="must be finite, got inf"):
+            make(float("inf"))
+        with pytest.raises(ContractError, match="must be strictly positive, got -inf"):
+            make(float("-inf"))
+
     def test_label_round_trips(self):
         for rule in (Fixed(4.0), MultiSet((1.0, 2.5)), NormStd(2.0), MaxVal(1.0), Range(0.5)):
             name, params = rule_label(rule)

@@ -79,6 +79,10 @@ class TestInitMlp:
         with pytest.raises(ConfigError):
             MlpSpec((4, 0, 2))
 
+    def test_negative_init_seed_rejected(self):
+        with pytest.raises(ConfigError, match="init_seed must be nonnegative, got -1"):
+            MlpSpec((4, 2), init_seed=-1)
+
 
 def _misfit_params(kind):
     """4-6-3 params that do not fit 4-feature input, and the weight shape named."""
@@ -127,6 +131,11 @@ class TestTrainConfigValidation:
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    def test_seed_must_fit_the_philox_key(self):
+        with pytest.raises(ConfigError, match=r"seed must be below 2\*\*64"):
+            TrainConfig(seed=2**64)
+        assert TrainConfig(seed=2**64 - 1).seed == 2**64 - 1
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize(
