@@ -16,12 +16,18 @@ run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
 temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
 Then come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
-big_cache widths (32-64-100 and 32-16-100) on 16,384 rows.  Last come
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows, and
 ``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
 default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
-instances=5`` for each of the audit's losses.  A loss case that raises
-contributes its error type and message instead.  Nothing is written to
-disk.
+instances=5`` for each of the audit's losses.  Last come
+``numcore.grad_check``'s errors by ``float.hex``, one part per audit loss:
+its public taped entry point (``kd_loss``, ``multi_temp_kld``,
+``normkd_loss``, ``distill_loss`` or ``combine`` of two) at the audit's
+first 20 points, rebuilt from ``GRAD_CHECK_SEED`` in the audit's draw
+order, at steps 1e-5 and 1e-6; and one part for three primitive
+compositions, one of them on the strided view ``x.T``.  A loss case that
+raises contributes its error type and message instead.  Nothing is written
+to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and
@@ -256,6 +262,69 @@ def grad_checks(d: Digest) -> int:
     return 2 + len(names)
 
 
+GRAD_CHECK_POINTS = 20
+GRAD_CHECK_STEPS = (1e-5, 1e-6)
+
+
+def _public_audit_point(name: str, rng: np.random.Generator):
+    """The audit's instance ``name``, drawn from ``rng`` in the audit's order, as a
+    function of a taped student through the public loss entry points, and its point."""
+    from normkd import MaxVal, Range, combine, distill_loss, kd_loss, multi_temp_kld, normkd_loss
+
+    n = int(rng.integers(2, 5))
+    c = int(rng.integers(3, 7))
+    shift = 2.0 if name == "maxval" else 0.0
+    z_t = rng.normal(shift, 1.5, (n, c))
+    z_s = rng.normal(shift, 1.5, (n, c))
+    labels = rng.integers(0, c, n)
+    if name == "kd":
+        t = float(rng.uniform(1.0, 5.0))
+        return lambda s: kd_loss(s, z_t, labels, t, alpha=0.3, beta=0.7).node, z_s
+    if name == "multi_temp":
+        temps = tuple(float(t) for t in rng.uniform(0.5, 6.0, int(rng.integers(1, 4))))
+        return lambda s: multi_temp_kld(s, z_t, temps), z_s
+    if name == "normkd":
+        t_norm = float(rng.uniform(0.5, 3.0))
+        return lambda s: normkd_loss(s, z_t, t_norm).node, z_s
+    if name in ("maxval", "range"):
+        rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
+        return lambda s: distill_loss(rule, s, z_t, labels, alpha=0.2, beta=0.8).node, z_s
+    t, t_norm = float(rng.uniform(1.0, 5.0)), float(rng.uniform(0.5, 3.0))
+    return lambda s: combine([(0.6, normkd_loss(s, z_t, t_norm).node),
+                              (0.4, kd_loss(s, z_t, labels, t, alpha=0.0, beta=1.0).node)]), z_s
+
+
+def grad_check_errors(d: Digest) -> int:
+    """``numcore.grad_check``'s errors by ``float.hex``: each public loss at the
+    audit's first points per loss and at each step, then primitive compositions."""
+    from normkd import grad_check
+    from normkd.distill import GRAD_CHECK_LOSSES, GRAD_CHECK_SEED
+    from normkd.numcore import (add, log, log_softmax_rows, max_rows, mean_all, min_rows,
+                                multiply, std_rows, subtract, sum_all)
+
+    errors = 0
+    for name in GRAD_CHECK_LOSSES:
+        rng = np.random.default_rng((GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name)))
+        points = [_public_audit_point(name, rng) for _ in range(GRAD_CHECK_POINTS)]
+        d.part(f"grad_check({name}, first {GRAD_CHECK_POINTS} audit points)")
+        for (fn, z_s), step in itertools.product(points, GRAD_CHECK_STEPS):
+            d.add(step, grad_check(fn, z_s, step).hex())
+            errors += 1
+    rng = np.random.default_rng(23)
+    x, w, v = rng.normal(size=(5, 4)), rng.normal(size=(4, 5)), rng.normal(size=6)
+    compositions = (
+        ("sum(log_softmax(x) * w)", lambda t: sum_all(multiply(log_softmax_rows(t), w)), x.T.copy()),
+        ("mean(std) + sum(max - min) of x.T", lambda t: add(mean_all(std_rows(t)), sum_all(
+            subtract(max_rows(t), min_rows(t)))), x.T),
+        ("sum(log(v * v + 1))", lambda t: sum_all(log(add(multiply(t, t), 1.0))), v),
+    )
+    d.part("grad_check of primitive compositions")
+    for label, fn, point in compositions:
+        d.add(label, grad_check(fn, point).hex())
+        errors += 1
+    return errors
+
+
 DESK_DATA = ["--classes", "10", "--dim", "16", "--per-class", "200", "--separation", "2.0"]
 DESK_RECIPE = {
     "train_data": "demo.train.txt",
@@ -398,7 +467,8 @@ def main(argv=None) -> int:
         summary = f"{cli_parts(d)} CLI commands"
     else:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
-                   f"{big_forwards(d)} large-batch forwards, {grad_checks(d)} grad-check calls")
+                   f"{big_forwards(d)} large-batch forwards, {grad_checks(d)} grad-check calls, "
+                   f"{grad_check_errors(d)} grad_check errors")
     if args.each:
         for name, h in d.parts.items():
             print(f"{h.hexdigest()}  {name}")
