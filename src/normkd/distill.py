@@ -28,8 +28,8 @@ squared teacher temperature.  ``kd_loss``, ``multi_temp_kld``,
 ``normkd_loss`` and ``distill_loss`` are thin wrappers over the two.
 No training step tapes them: ``logit_grad`` replays the backward of
 ``side_loss`` taped at the student logits on plain arrays, node by node,
-and gives the same gradient bytes.  ``gradient_check_suite`` audits the
-taped gradient of every loss, ``combine`` included, by central differences.
+and gives the same gradient bytes.  ``gradient_check_suite`` audits that
+replay on every loss, ``combine`` included, against central differences.
 
 The per-sample losses floor each sample's statistic at ``epsilon`` before
 scaling, so no row divides by zero.  That makes a constant row soften to
@@ -62,6 +62,8 @@ from .logitstats import (
 )
 from .numcore import (
     Tensor,
+    _central_probes,
+    _fd_error,
     _log_softmax_grad,
     _pick_grad,
     _std_grad,
@@ -71,7 +73,6 @@ from .numcore import (
     divide,
     exp,
     gather_rows,
-    grad_check,
     log,
     log_softmax_rows,
     log_softmax_values,
@@ -367,6 +368,19 @@ def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np
     and one that is the same in every entry, a mean's or a constant
     weight's, stays a float until it meets an array.
     """
+    return _tape_sum(_logit_parts(rule, z_s, teacher, labels, alpha, beta, corrected, detach))
+
+
+def _tape_sum(parts) -> np.ndarray:
+    """A node's gradient as the tape sums its contributions: the first plus 0.0, then ``+=``."""
+    grad = np.add(parts[0], 0.0)
+    for part in parts[1:]:
+        grad += part
+    return grad
+
+
+def _logit_parts(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> list[np.ndarray]:
+    """``logit_grad``'s contributions to the gradient of ``z_s``, in the tape's order."""
     if teacher is not None:
         _check_student(z_s)
     n, c = z_s.shape
@@ -375,10 +389,21 @@ def logit_grad(rule, z_s, teacher, labels, alpha, beta, corrected, detach) -> np
     # alpha * mean(gather(log_softmax(z_s)) * -1.0), back to the log-softmax
     picked = _pick_grad(((1.0 * alpha + 0.0) * (1.0 / n) + 0.0) * -1.0 + 0.0, z_s, labels[:, None])
     parts.append(_log_softmax_back(picked, log_softmax_values(z_s)))
-    grad = np.add(parts[0], 0.0)
-    for part in parts[1:]:
-        grad += part
-    return grad
+    return parts
+
+
+def _stack_totals(rule, stack, side, labels, alpha, beta) -> np.ndarray:
+    """``side_loss(rule, z, side, labels, alpha, beta, True, False).total`` of every
+    (N, C) matrix ``z`` of an (S, N, C) stack, bit for bit, in one plain-array pass."""
+    lp_t, p_t, weights = side
+    n, rows = len(labels), stack.reshape(-1, stack.shape[-1])
+    lp_s = _softened(rule, rows, rows, True)[0].reshape(stack.shape)
+    # label picks stored row by row, reduced as ``mean_all`` reduces an (N, 1) column
+    picked = np.take_along_axis(log_softmax_values(stack), labels[None, :, None], 2)
+    ce = np.add.reduce(picked * -1.0, axis=(1, 2)) / n
+    per_sample = (p_t * (lp_t - lp_s)).sum(axis=2, keepdims=True)
+    kld = np.add.reduce(per_sample * weights, axis=(1, 2)) / n
+    return ce * alpha + kld * beta
 
 
 def _log_softmax_back(g, lp) -> np.ndarray:
@@ -451,28 +476,14 @@ def combine(terms):
 # Finite-difference audit of every loss
 
 
-def _with_flipped_gradient(fn):
-    """Wrap a loss so its analytic gradient (not its value) flips sign.
-
-    Only used to demonstrate that the finite-difference audit catches a
-    wrong backward rule.
-    """
-
-    def flipped(student):
-        out = fn(student)
-        return subtract(multiply(value_of(out), 2.0), out)  # 2v - v is v exactly
-
-    return flipped
-
-
 def _loss_instance(name: str, rng: np.random.Generator):
-    """One random (loss function, student point) pair for the audit.
+    """One random audit instance: ``(z_s, labels, terms)``.
 
-    The teacher side is built once per instance, not once per probe: the
-    function is ``side_loss`` (``_rule_kld`` for the KL-only losses) on
-    that side, whose value and taped gradient are, byte for byte, those of
-    the public entry point it stands for (``kd_loss``, ``multi_temp_kld``,
-    ``normkd_loss``, ``distill_loss``).
+    The loss is the weighted sum of its terms, each ``(weight, rule,
+    teacher_side(rule, z_t), alpha, beta)`` standing for ``side_loss`` on
+    that side; a KL-only loss (``multi_temp_kld``, ``normkd_loss``) is its
+    rule at alpha 0 and beta 1, and ``combine`` weighs two terms.  The
+    teacher side is built once per instance, not once per probe.
 
     The MaxVal instances shift all logits upward so the student's row
     maximum stays well above the epsilon floor: at the floor the
@@ -488,35 +499,21 @@ def _loss_instance(name: str, rng: np.random.Generator):
     z_s = rng.normal(shift, 1.5, (n, c))
     labels = rng.integers(0, c, n)
     if name == "kd":
-        rule = Fixed(float(rng.uniform(1.0, 5.0)))
-        side = teacher_side(rule, z_t)
-        return lambda s: side_loss(rule, s, side, labels, 0.3, 0.7, True, False).node, z_s
-    if name in ("multi_temp", "normkd"):
-        if name == "multi_temp":
-            k = int(rng.integers(1, 4))
-            rule = MultiSet(tuple(float(t) for t in rng.uniform(0.5, 6.0, k)))
-        else:
-            rule = NormStd(float(rng.uniform(0.5, 3.0)))
-        side = teacher_side(rule, z_t)
-        return lambda s: _rule_kld(rule, s, side, True, False)[0], z_s
-    if name in ("maxval", "range"):
+        terms = [(1.0, Fixed(float(rng.uniform(1.0, 5.0))), 0.3, 0.7)]
+    elif name == "multi_temp":
+        k = int(rng.integers(1, 4))
+        terms = [(1.0, MultiSet(tuple(float(t) for t in rng.uniform(0.5, 6.0, k))), 0.0, 1.0)]
+    elif name == "normkd":
+        terms = [(1.0, NormStd(float(rng.uniform(0.5, 3.0))), 0.0, 1.0)]
+    elif name in ("maxval", "range"):
         rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
-        side = teacher_side(rule, z_t)
-        return lambda s: side_loss(rule, s, side, labels, 0.2, 0.8, True, False).node, z_s
-    if name == "combine":
+        terms = [(1.0, rule, 0.2, 0.8)]
+    elif name == "combine":
         kd, norm = Fixed(float(rng.uniform(1.0, 5.0))), NormStd(float(rng.uniform(0.5, 3.0)))
-        kd_side, norm_side = teacher_side(kd, z_t), teacher_side(norm, z_t)
-
-        def fn(s):
-            return combine(
-                [
-                    (0.6, _rule_kld(norm, s, norm_side, True, False)[0]),
-                    (0.4, side_loss(kd, s, kd_side, labels, 0.0, 1.0, True, False).node),
-                ]
-            )
-
-        return fn, z_s
-    raise ContractError(f"unknown loss {name!r}")
+        terms = [(0.6, norm, 0.0, 1.0), (0.4, kd, 0.0, 1.0)]
+    else:
+        raise ContractError(f"unknown loss {name!r}")
+    return z_s, labels, [(w, rule, teacher_side(rule, z_t), a, b) for w, rule, a, b in terms]
 
 
 def gradient_check_suite(
@@ -529,9 +526,10 @@ def gradient_check_suite(
     Returns one (name, max_error) row per implemented loss; every error
     should sit below GRAD_CHECK_TOLERANCE.  The instances are drawn from
     GRAD_CHECK_SEED, so every call with the same arguments is identical.
-    ``inject_fault`` names a loss
-    whose analytic gradient gets sign-flipped, as a sensitivity self-test
-    of the audit itself.
+    The analytic gradient is training's, ``logit_grad``'s parts of every
+    term summed in a tape's order (the last term's first), against one
+    plain-array pass over every probe.  ``inject_fault`` names a loss
+    whose analytic gradient gets sign-flipped, as a self-test of the audit.
     """
     if instances < 1:
         raise ConfigError(f"instances must be at least 1, got {instances}")
@@ -546,9 +544,14 @@ def gradient_check_suite(
         rng = np.random.default_rng((GRAD_CHECK_SEED, GRAD_CHECK_LOSSES.index(name)))
         worst = 0.0
         for _ in range(instances):
-            fn, z_s = _loss_instance(name, rng)
-            if inject_fault == name:
-                fn = _with_flipped_gradient(fn)
-            worst = max(worst, grad_check(fn, z_s, step))
+            z_s, labels, terms = _loss_instance(name, rng)
+            analytic = _tape_sum([part for w, rule, side, a, b in reversed(terms) for part in
+                                  _logit_parts(rule, z_s, side, labels, a * w, b * w, True, False)])
+            probes = _central_probes(z_s, step)
+            with np.errstate(all="ignore"):
+                values = sum(w * _stack_totals(rule, probes, side, labels, a, b)
+                             for w, rule, side, a, b in terms)
+            worst = max(worst, _fd_error(-analytic if inject_fault == name else analytic,
+                                         values, step))
         results.append((name, worst))
     return results

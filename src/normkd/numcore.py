@@ -8,7 +8,7 @@ raw array comes back.  Loss code is therefore written once and works both
 taped, differentiated with respect to the logits, and for evaluation.
 Training tapes nothing: ``distill.logit_grad`` replays the taped losses'
 backward on plain arrays, bit for bit, and the trainer the MLP's.  The
-tape serves gradient checks, the reference tests and direct callers.
+tape serves ``grad_check``, the reference tests and direct callers.
 
 A primitive is a forward value plus a backward rule ``g -> (grad, ...)``,
 one gradient per taped parent, recorded by ``_binary`` (two broadcasting
@@ -373,6 +373,25 @@ def value_of(x) -> Array:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
+def _central_probes(point: Array, step: float) -> Array:
+    """Every central-difference probe of ``point``, stacked: row 2i is ``point``
+    with its i-th entry (in C order) plus ``step``, row 2i+1 with it minus ``step``."""
+    flat = point.reshape(-1)
+    probes = np.repeat(flat[None, :], 2 * flat.size, axis=0)
+    np.fill_diagonal(probes[0::2], flat + step)
+    np.fill_diagonal(probes[1::2], flat - step)
+    return probes.reshape((-1,) + point.shape)
+
+
+def _fd_error(analytic: Array, values: Array, step: float) -> float:
+    """``max_i |analytic_i - fd_i| / max(1e-12, |fd_i|)``, ``fd`` the difference
+    quotients of the ``values`` a function took at ``_central_probes``."""
+    if not np.isfinite(values).all():
+        raise NumericError("function is non-finite at a finite-difference probe")
+    fd = ((values[0::2] - values[1::2]) / (2.0 * step)).reshape(analytic.shape)
+    return float((np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))).max())
+
+
 def grad_check(
     f: Callable[[Tensor], Tensor],
     point,
@@ -386,38 +405,13 @@ def grad_check(
     """
     if not step > 0.0:
         raise ContractError(f"grad_check step must be positive, got {step}")
-    # a private contiguous copy: the probes below shift it in place, and
-    # ``reshape(-1)`` of a strided view would be a copy the probes never move
-    point = as_array(point, "point").copy()
-
+    point = as_array(point, "point")
     tape = Tape()
     x = tape.leaf(point)
     out = f(x)
     if not isinstance(out, Tensor):
         raise ContractError("grad_check function must return a Tensor")
     tape.backward(out)
-    analytic = x.grad
-
-    def eval_at(p: Array) -> float:
-        probe_tape = Tape()
-        with np.errstate(all="ignore"):
-            val = f(probe_tape.leaf(p))
-        v = float(val.data)
-        if not np.isfinite(v):
-            raise NumericError("function is non-finite at a finite-difference probe")
-        return v
-
-    fd = np.zeros_like(point)
-    flat = point.reshape(-1)
-    fd_flat = fd.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        hi = eval_at(point)
-        flat[i] = orig - step
-        lo = eval_at(point)
-        flat[i] = orig
-        fd_flat[i] = (hi - lo) / (2.0 * step)
-
-    rel = np.abs(analytic - fd) / np.maximum(1e-12, np.abs(fd))
-    return float(rel.max())
+    with np.errstate(all="ignore"):
+        values = np.array([float(f(Tape().leaf(p)).data) for p in _central_probes(point, step)])
+    return _fd_error(x.grad, values, step)
