@@ -3,8 +3,9 @@
 Evaluates each loss on a tiny batch, demonstrates the algebraic
 identities the implementation guarantees (mean-shift cancellation,
 single-temperature reduction, quadratic teacher-scale law), and runs the
-finite-difference audit, including a deliberately broken gradient to
-show the audit catching it.
+finite-difference audit of the gradient training uses (``logit_grad``'s
+replay), then ``grad_check`` on a deliberately broken taped gradient to
+show a wrong backward rule caught.
 
 Run: python demos/02_losses_and_gradient_audit.py
 """
@@ -73,7 +74,7 @@ print("\nfinite-difference audit (20 random instances per loss):")
 for name, err in gradient_check_suite(instances=20):
     print(f"  {name:12s} max relative error {err:.2e}")
 
-print("\nthe audit catches a broken backward rule; flip one gradient's sign:")
+print("\ngrad_check catches a broken backward rule; flip one taped gradient's sign:")
 
 
 def sabotaged(student):

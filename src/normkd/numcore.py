@@ -401,11 +401,13 @@ def grad_check(
 
     ``f`` receives a leaf Tensor and must return a scalar Tensor.  Returns
     ``max_i |analytic_i - fd_i| / max(1e-12, |fd_i|)`` over all coordinates
-    of ``point``.  Raises if ``f`` is non-finite at any probe point.
+    of a non-empty ``point``.  Raises if ``f`` is non-finite at any probe.
     """
     if not step > 0.0:
         raise ContractError(f"grad_check step must be positive, got {step}")
     point = as_array(point, "point")
+    if not point.size:
+        raise ContractError(f"grad_check needs a point with entries, got shape {point.shape}")
     tape = Tape()
     x = tape.leaf(point)
     out = f(x)

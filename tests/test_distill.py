@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from normkd import distill
 from normkd.distill import (
     combine,
     cross_entropy,
@@ -658,6 +659,25 @@ class TestLogitGradReplay:
         for labels in ([0, 1, 4], [0, 1]):  # out of range, wrong length
             with pytest.raises(NumericError, match="student logits contain non-finite entries"):
                 logit_grad(NormStd(2.0), z, side, labels, 0.1, 0.9, True, False)
+
+
+@pytest.mark.parametrize("n,c", [(1, 10), (2, 2), (3, 5), (4, 6), (64, 10), (1024, 100)])
+@pytest.mark.parametrize("spec", REPLAY_RULES)
+def test_stack_totals_equal_side_loss_bytes(spec, n, c):
+    """The audit's one plain-array pass over an (S, N, C) stack gives each matrix's
+    ``side_loss`` total by ``.tobytes()``: its rows, picks and batch means are
+    reduced as the (N, C) call reduces them."""
+    rule = parse_rule(spec)
+    rng = np.random.default_rng([n, c, REPLAY_RULES.index(spec)])
+    side = teacher_side(rule, rng.normal(0.0, 2.0, (n, c)))
+    labels = rng.integers(0, c, n)
+    for s in (1, 2, 5):
+        stack = rng.normal(0.0, 2.0, (s, n, c)) * rng.uniform(0.5, 5.0, (s, n, 1))
+        totals = distill._stack_totals(rule, stack, side, labels, 0.1, 0.9)
+        assert totals.shape == (s,)
+        for z, total in zip(stack, totals):
+            want = side_loss(rule, z, side, labels, 0.1, 0.9, True, False).total
+            assert total.tobytes() == np.float64(want).tobytes(), (s, n, c)
 
 
 def _empty_batch_calls():

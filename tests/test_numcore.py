@@ -317,6 +317,16 @@ class TestGradCheck:
         with pytest.raises(ContractError, match="step must be positive"):
             grad_check(sum_all, np.ones((2, 2)), step=float("nan"))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0,)])
+    def test_empty_point_rejected_before_taping(self, shape):
+        def f(t):
+            raise AssertionError("an empty point reached the function")
+
+        with pytest.raises(ContractError, match=r"grad_check needs a point with entries"):
+            grad_check(f, np.zeros(shape))
+        with pytest.raises(ContractError, match=r"grad_check needs a point with entries"):
+            grad_check(sum_all, np.zeros(shape))
+
     def test_non_finite_probe_raises(self):
         def log_loss(t):
             return sum_all(log(t))
