@@ -48,8 +48,9 @@ file or a stream) before the total, so a mismatch names its part.
 directory, runs this script with ``--each`` once on this tree's ``src``
 and once on that tree's ``src``, prints every part that differs and exits
 1 on any difference, or 2 when ``REV`` cannot be exported or a side
-fails.  Run both sides on one machine: numpy's SIMD kernels change the
-bytes between CPUs.
+fails.  It also prints the line count of ``src/normkd/*.py`` in both
+trees, the total ``wc -l`` gives.  Run both sides on one machine: numpy's
+SIMD kernels change the bytes between CPUs.
 """
 
 from __future__ import annotations
@@ -434,18 +435,22 @@ def against(rev: str, cli: bool) -> int:
         out = subprocess.run(argv, env=env, check=True, stdout=subprocess.PIPE, text=True).stdout
         return dict(reversed(line.split("  ", 1)) for line in out.splitlines())
 
+    def lines(src: Path) -> int:  # what `wc -l src/normkd/*.py` totals
+        return sum(p.read_bytes().count(b"\n") for p in (src / "normkd").glob("*.py"))
+
     with tempfile.TemporaryDirectory() as tmp:
         tree = subprocess.run(["git", "-C", str(root), "archive", "--format=tar", rev],
                               check=True, stdout=subprocess.PIPE).stdout
         with tarfile.open(fileobj=io.BytesIO(tree)) as tar:
             tar.extractall(tmp, filter="data")
-        theirs = run(Path(tmp) / "src")
+        theirs, their_lines = run(Path(tmp) / "src"), lines(Path(tmp) / "src")
     ours = run(root / "src")
     differ = sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n))
     for n in differ:
         print(f"differs: {n} ({ours.get(n, 'missing')} here, {theirs.get(n, 'missing')} at {rev})")
     print(f"{len(ours) - len(differ)} of {len(ours)} parts identical to {rev}"
           f"{'' if differ else '; digest ' + ours['total']}")
+    print(f"src/normkd/*.py: {lines(root / 'src')} lines here, {their_lines} at {rev}")
     return 1 if differ else 0
 
 
