@@ -17,7 +17,6 @@ from .errors import ConfigError, ContractError, FileFormatError
 from .ioutil import atomic_write_text
 
 BLOB_STD = 1.0
-TRAIN_FRACTION = 0.8
 _CENTER_TRIES_PER_CLASS = 200
 
 

@@ -64,6 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from .datasets import Dataset, read_dataset
+from .distill import teacher_side
 from .errors import ConfigError, ContractError
 from .ioutil import atomic_write_text
 from .logitcache import read_logit_cache, write_logit_cache
@@ -73,11 +74,10 @@ from .logitstats import (
     NormStd,
     parse_rule,
     require_cache,
-    row_temperatures,
     rule_label,
     summarize,
 )
-from .numcore import softmax_values
+from .numcore import log_softmax_values
 from .trainer import (
     MlpSpec,
     TrainConfig,
@@ -259,22 +259,14 @@ def _seed_dir(output_dir: Path, seed: int):
         os.replace(stage, final)
 
 
-def _write_caches(seed_dir: Path, role: str, params, train_ds: Dataset, val_ds: Dataset) -> None:
-    """Write ``<role>.train.nkdl`` and ``<role>.val.nkdl`` into ``seed_dir``, made if need be."""
+def _train_and_cache(spec: MlpSpec, recipe: TrainConfig, train_ds, teacher, val_ds, seed_dir, role):
+    """Train ``spec``'s MLP on ``recipe`` at its init seed, from ``teacher`` unless None, and
+    write its ``<role>.train.nkdl`` and ``<role>.val.nkdl`` into ``seed_dir``, made if need be."""
+    params, history = train(spec, replace(recipe, seed=spec.init_seed), train_ds, teacher, val_ds)
     seed_dir.mkdir(parents=True, exist_ok=True)
     for split, data in (("train", train_ds), ("val", val_ds)):
         write_logit_cache(seed_dir / f"{role}.{split}.nkdl", cache_teacher_logits(params, data))
-
-
-def _train_teacher_for_seed(
-    cfg: ExperimentConfig, seed: int, train_ds: Dataset, val_ds: Dataset, seed_dir: Path
-) -> tuple[LogitCache, TrainHistory, float]:
-    spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
-    params, history = train(spec, replace(cfg.teacher, seed=seed), train_ds, None, val_ds)
-    _write_caches(seed_dir, "teacher", params, train_ds, val_ds)
-    # distill from the serialized float32 values, not the in-memory float64 ones
-    cache = read_logit_cache(seed_dir / "teacher.train.nkdl")
-    return cache, history, evaluate(params, val_ds)
+    return params, history
 
 
 @dataclass(frozen=True)
@@ -318,11 +310,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         spec = MlpSpec(cfg.student_layers, init_seed=seed)
         with _seed_dir(cfg.output_dir, seed) as seed_dir:
             if cfg.student.rule is not None and not cached:
-                teacher_logits = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)[0]
-            params, history = train(
-                spec, replace(cfg.student, seed=seed), train_ds, teacher_logits, val_ds
+                teacher = MlpSpec(cfg.teacher_layers, init_seed=seed)
+                _train_and_cache(teacher, cfg.teacher, train_ds, None, val_ds, seed_dir, "teacher")
+                # distill from the serialized float32 values, not the in-memory float64 ones
+                teacher_logits = read_logit_cache(seed_dir / "teacher.train.nkdl")
+            params, history = _train_and_cache(
+                spec, cfg.student, train_ds, teacher_logits, val_ds, seed_dir, "student"
             )
-            _write_caches(seed_dir, "student", params, train_ds, val_ds)
             write_history_csv(seed_dir / "history.csv", history)
         rows.append((str(seed), name, params_label, repr(evaluate(params, val_ds))))
     return _write_summary(cfg, "summary.csv", rows)
@@ -335,10 +329,13 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
     train_ds, val_ds = _read_split(cfg.train_data), _read_split(cfg.val_data)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
+        spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
         with _seed_dir(cfg.output_dir, seed) as seed_dir:
-            _, history, top1 = _train_teacher_for_seed(cfg, seed, train_ds, val_ds, seed_dir)
+            params, history = _train_and_cache(
+                spec, cfg.teacher, train_ds, None, val_ds, seed_dir, "teacher"
+            )
             write_history_csv(seed_dir / "teacher_history.csv", history)
-        rows.append((str(seed), "none", "", repr(top1)))
+        rows.append((str(seed), "none", "", repr(evaluate(params, val_ds))))
     return _write_summary(cfg, "teacher_summary.csv", rows)
 
 
@@ -364,9 +361,9 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray, c: int) -> np.ndarray:
-    out = np.zeros((c, c))
-    for c1 in range(c):
+def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    out = np.zeros((p_s.shape[1],) * 2)
+    for c1 in range(len(out)):
         mask = labels == c1
         if mask.any():
             out[c1] = np.abs((p_s[mask] - p_t[mask]).mean(axis=0))
@@ -397,19 +394,16 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
         raise ContractError(
             f"caches disagree on sample order at id {teacher.sample_ids[mismatch.argmax()]}"
         )
-    labels, c = teacher.labels, teacher.num_classes
-
-    def _norm_probs(z):
-        return softmax_values(z / row_temperatures(rule, z))
-
-    z_t, z_s = teacher.logits, student.logits
+    labels, z_t, z_s = teacher.labels, teacher.logits, student.logits
     return AnalysisResult(
         sample_ids=teacher.sample_ids,
         labels=labels,
         teacher_stats=summarize(teacher),
         student_stats=summarize(student),
-        raw_matrix=_diff_matrix(softmax_values(z_s), softmax_values(z_t), labels, c),
-        norm_matrix=_diff_matrix(_norm_probs(z_s), _norm_probs(z_t), labels, c),
+        raw_matrix=_diff_matrix(
+            np.exp(log_softmax_values(z_s)), np.exp(log_softmax_values(z_t)), labels
+        ),
+        norm_matrix=_diff_matrix(teacher_side(rule, z_s)[1], teacher_side(rule, z_t)[1], labels),
     )
 
 

@@ -180,8 +180,8 @@ def row_temperatures(rule: TemperatureRule, logits, corrected: bool = True):
     ``logits`` is an (N, C) matrix; the statistic is the row std
     (NormStd), maximum (MaxVal) or maximum minus minimum (Range).  When
     ``logits`` is a Tensor the result is taped, so gradient flows through
-    the statistic.  This is the one implementation of the per-sample
-    rules: the losses, ``temperature_for`` and ``analyze`` all use it.
+    the statistic.  The losses, ``teacher_side`` (so ``analyze``) and ``temperature_for``
+    use it; ``distill.logit_grad`` recomputes a live statistic beside its backward.
     """
     if isinstance(rule, NormStd):
         stat, scale = std_rows(logits, corrected), rule.t_norm

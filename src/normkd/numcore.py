@@ -87,10 +87,6 @@ def log_softmax_values(z: Array) -> Array:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_values(z: Array) -> Array:
-    return np.exp(log_softmax_values(z))
-
-
 class Tensor:
     """A node on a :class:`Tape`: a float64 array plus backward metadata.
     It has no operators: nodes combine through ``add``, ``multiply`` etc."""
