@@ -129,7 +129,7 @@ def read_dataset(path: Path | str) -> Dataset:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise FileFormatError(f"cannot read dataset {path}: {exc}") from exc
     lines = text.splitlines()
     if not lines:

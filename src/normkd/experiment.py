@@ -145,7 +145,7 @@ def load_experiment_config(path: Path | str, env=None) -> ExperimentConfig:
     env = os.environ if env is None else env
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
     raw: dict[str, str] = {}

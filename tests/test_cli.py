@@ -177,6 +177,32 @@ class TestDistillCommand:
         assert f"error: {tmp_path / f'blobs.{split}.txt'}: dataset is empty" in err
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["distill", "train-teacher"])
+    def test_non_utf8_config_exits_2_and_writes_nothing(self, tmp_path, capsys, command):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra="# \u00e9\n")
+        cfg.write_bytes(cfg.read_bytes().replace("\u00e9".encode(), b"\xff"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config {cfg}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("command", ["distill", "train-teacher"])
+    def test_non_utf8_dataset_exits_3_and_writes_nothing(self, tmp_path, capsys, command, split):
+        gen_data(tmp_path)
+        data = tmp_path / f"blobs.{split}.txt"
+        data.write_bytes(data.read_bytes().replace(b"\n", b" \xff\n", 1))
+        cfg = write_config(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read dataset {data}: 'utf-8' codec can't decode")
+        assert err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_dataset_header_exits_3(self, tmp_path, capsys):
         gen_data(tmp_path)
         (tmp_path / "blobs.train.txt").write_text("3 -1 2\n0,1.0\n1,2.0\n")

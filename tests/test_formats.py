@@ -116,6 +116,12 @@ class TestDatasetFile:
         with pytest.raises(FileFormatError):
             read_dataset(tmp_path / "nope.txt")
 
+    def test_non_utf8_file_is_a_file_format_error(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"2 2 1\n0,1.0,2.0 # caf\xe9\n")
+        with pytest.raises(FileFormatError, match=f"cannot read dataset {path}: 'utf-8' codec"):
+            read_dataset(path)
+
 
 def rows(logits, sample_ids=None, labels=None):
     """A LogitCache of the given rows; ids default to 0..N-1 and labels to 0."""
