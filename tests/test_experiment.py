@@ -87,6 +87,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="duplicate"):
             load_experiment_config(path, env={})
 
+    def test_non_utf8_config_is_a_config_error(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(BASE_CONFIG.encode() + b"# \xff\n")
+        with pytest.raises(ConfigError, match=f"cannot read config {path}: 'utf-8' codec"):
+            load_experiment_config(path, env={})
+
     def test_rule_without_teacher_rejected(self, tmp_path):
         text = BASE_CONFIG.replace("teacher_layers = 4,12,3\n", "")
         with pytest.raises(ConfigError, match="teacher"):
@@ -262,6 +268,47 @@ class TestRunExperiment:
         assert result.summary_path.name == "teacher_summary.csv"
         assert (tmp_path / "out" / "seed0" / "teacher.train.nkdl").exists()
         assert (tmp_path / "out" / "seed0" / "teacher_history.csv").exists()
+
+
+STUDENT_FILES = {"history.csv", "student.train.nkdl", "student.val.nkdl"}
+TEACHER_FILES = {"teacher.train.nkdl", "teacher.val.nkdl"}
+
+
+class TestRunFiles:
+    """Each run writes exactly its documented files, and a run that trains its
+    own teacher writes the caches that ``run_teacher_training`` writes."""
+
+    @pytest.mark.parametrize(
+        "edit, run, summary, per_seed",
+        [
+            (("", ""), run_experiment, "summary.csv", STUDENT_FILES | TEACHER_FILES),
+            (("teacher_layers = 4,12,3", "teacher_cache = teacher.nkdl"), run_experiment,
+             "summary.csv", STUDENT_FILES),
+            (("rule = fixed:4\n", ""), run_experiment, "summary.csv", STUDENT_FILES),
+            (("", ""), run_teacher_training, "teacher_summary.csv",
+             TEACHER_FILES | {"teacher_history.csv"}),
+        ],
+    )
+    def test_exact_files(self, tmp_path, edit, run, summary, per_seed):
+        train_ds, _ = write_demo_inputs(tmp_path)
+        teacher = init_mlp(MlpSpec((4, 12, 3), init_seed=0))
+        write_logit_cache(tmp_path / "teacher.nkdl", cache_teacher_logits(teacher, train_ds))
+        run(load_experiment_config(write_config(tmp_path, BASE_CONFIG.replace(*edit)), env={}))
+        out = tmp_path / "out"
+        got = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+        assert got == {summary} | {f"seed{k}/{name}" for k in (0, 1) for name in per_seed}
+
+    @pytest.mark.parametrize("extra", ["", "teacher_epochs = 2\nteacher_weight_decay = 0.01\n"])
+    def test_distill_teacher_equals_train_teacher(self, tmp_path, extra):
+        write_demo_inputs(tmp_path)
+        text = BASE_CONFIG + extra
+        run_experiment(load_experiment_config(write_config(tmp_path, text), env={}))
+        text = text.replace("output_dir = out", "output_dir = teachers")
+        run_teacher_training(load_experiment_config(write_config(tmp_path, text), env={}))
+        for k in (0, 1):
+            for name in sorted(TEACHER_FILES):
+                got = (tmp_path / "out" / f"seed{k}" / name).read_bytes()
+                assert got == (tmp_path / "teachers" / f"seed{k}" / name).read_bytes(), (k, name)
 
 
 class TestTeacherRecipe:
