@@ -260,8 +260,8 @@ def _seed_dir(output_dir: Path, seed: int):
 
 
 def _train_and_cache(spec: MlpSpec, recipe: TrainConfig, train_ds, teacher, val_ds, seed_dir, role):
-    """Train ``spec``'s MLP on ``recipe`` at its init seed, from ``teacher`` unless None, and
-    write its ``<role>.train.nkdl`` and ``<role>.val.nkdl`` into ``seed_dir``, made if need be."""
+    """Train ``spec``'s MLP on ``recipe`` at the spec's init seed, distilling from the ``teacher``
+    cache unless it is None, and write its ``<role>.{train,val}.nkdl`` into ``seed_dir``."""
     params, history = train(spec, replace(recipe, seed=spec.init_seed), train_ds, teacher, val_ds)
     seed_dir.mkdir(parents=True, exist_ok=True)
     for split, data in (("train", train_ds), ("val", val_ds)):
