@@ -1,6 +1,7 @@
 """Config parsing, orchestrated runs, analysis, and the gradient audit."""
 
 import csv
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -90,7 +91,8 @@ class TestConfigParsing:
     def test_non_utf8_config_is_a_config_error(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_bytes(BASE_CONFIG.encode() + b"# \xff\n")
-        with pytest.raises(ConfigError, match=f"cannot read config {path}: 'utf-8' codec"):
+        message = re.escape(f"cannot read config {path}: 'utf-8' codec")
+        with pytest.raises(ConfigError, match=message):
             load_experiment_config(path, env={})
 
     def test_rule_without_teacher_rejected(self, tmp_path):

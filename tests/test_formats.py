@@ -1,5 +1,6 @@
 """Dataset text files and binary logit caches: round-trips and coded errors."""
 
+import re
 import struct
 
 import numpy as np
@@ -119,7 +120,8 @@ class TestDatasetFile:
     def test_non_utf8_file_is_a_file_format_error(self, tmp_path):
         path = tmp_path / "latin1.txt"
         path.write_bytes(b"2 2 1\n0,1.0,2.0 # caf\xe9\n")
-        with pytest.raises(FileFormatError, match=f"cannot read dataset {path}: 'utf-8' codec"):
+        message = re.escape(f"cannot read dataset {path}: 'utf-8' codec")
+        with pytest.raises(FileFormatError, match=message):
             read_dataset(path)
 
 
