@@ -297,46 +297,43 @@ def _read_split(path: Path) -> Dataset:
     return data
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Train (teacher and) student per seed; write caches, histories, summary."""
+def _run_seeds(cfg: ExperimentConfig, layers, recipe: TrainConfig, role, history, summary):
+    """Train ``layers`` on ``recipe`` per seed, distilling (if the recipe has a rule) from
+    ``teacher_cache`` or a teacher the seed trains first; write caches, histories, summary."""
     train_ds, val_ds = _read_split(cfg.train_data), _read_split(cfg.val_data)
-    name, params_label = rule_label(cfg.student.rule)
+    name, params_label = rule_label(recipe.rule)
     # one cache serves every seed, so it is read (and a bad one fails) once, up front
-    cached = cfg.teacher_cache is not None and cfg.student.rule is not None
+    cached = cfg.teacher_cache is not None and recipe.rule is not None
     teacher_logits = read_logit_cache(cfg.teacher_cache) if cached else None
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
-        # the widths are checked before the teacher trains, so a bad student fails fast
-        spec = MlpSpec(cfg.student_layers, init_seed=seed)
+        # the widths are checked before the teacher trains, so a bad model fails fast
+        spec = MlpSpec(layers, init_seed=seed)
         with _seed_dir(cfg.output_dir, seed) as seed_dir:
-            if cfg.student.rule is not None and not cached:
+            if recipe.rule is not None and not cached:
                 teacher = MlpSpec(cfg.teacher_layers, init_seed=seed)
                 _train_and_cache(teacher, cfg.teacher, train_ds, None, val_ds, seed_dir, "teacher")
                 # distill from the serialized float32 values, not the in-memory float64 ones
                 teacher_logits = read_logit_cache(seed_dir / "teacher.train.nkdl")
-            params, history = _train_and_cache(
-                spec, cfg.student, train_ds, teacher_logits, val_ds, seed_dir, "student"
+            params, hist = _train_and_cache(
+                spec, recipe, train_ds, teacher_logits, val_ds, seed_dir, role
             )
-            write_history_csv(seed_dir / "history.csv", history)
+            write_history_csv(seed_dir / history, hist)
         rows.append((str(seed), name, params_label, repr(evaluate(params, val_ds))))
-    return _write_summary(cfg, "summary.csv", rows)
+    return _write_summary(cfg, summary, rows)
+
+
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Train (teacher and) student per seed; write caches, histories, summary."""
+    return _run_seeds(cfg, cfg.student_layers, cfg.student, "student", "history.csv", "summary.csv")
 
 
 def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
     """Teacher-only runs: train, cache logits, and summarize val accuracy."""
     if cfg.teacher_layers is None:
         raise ConfigError("teacher training requires teacher_layers")
-    train_ds, val_ds = _read_split(cfg.train_data), _read_split(cfg.val_data)
-    rows: list[tuple[str, str, str, str]] = []
-    for seed in cfg.seeds:
-        spec = MlpSpec(cfg.teacher_layers, init_seed=seed)
-        with _seed_dir(cfg.output_dir, seed) as seed_dir:
-            params, history = _train_and_cache(
-                spec, cfg.teacher, train_ds, None, val_ds, seed_dir, "teacher"
-            )
-            write_history_csv(seed_dir / "teacher_history.csv", history)
-        rows.append((str(seed), "none", "", repr(evaluate(params, val_ds))))
-    return _write_summary(cfg, "teacher_summary.csv", rows)
+    return _run_seeds(cfg, cfg.teacher_layers, cfg.teacher, "teacher", "teacher_history.csv",
+                      "teacher_summary.csv")
 
 
 # ---------------------------------------------------------------------------
