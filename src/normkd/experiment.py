@@ -82,6 +82,7 @@ from .trainer import (
     MlpSpec,
     TrainConfig,
     TrainHistory,
+    _check_widths,
     cache_teacher_logits,
     evaluate,
     train,
@@ -305,16 +306,19 @@ def _run_seeds(cfg: ExperimentConfig, layers, recipe: TrainConfig, role, history
     # one cache serves every seed, so it is read (and a bad one fails) once, up front
     cached = cfg.teacher_cache is not None and recipe.rule is not None
     teacher_logits = read_logit_cache(cfg.teacher_cache) if cached else None
+    own_teacher = recipe.rule is not None and not cached
+    # every model is checked against the data before the first one trains
+    for widths in (layers, cfg.teacher_layers) if own_teacher else (layers,):
+        _check_widths(MlpSpec(widths), train_ds)
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
-        # the widths are checked before the teacher trains, so a bad model fails fast
-        spec = MlpSpec(layers, init_seed=seed)
         with _seed_dir(cfg.output_dir, seed) as seed_dir:
-            if recipe.rule is not None and not cached:
+            if own_teacher:
                 teacher = MlpSpec(cfg.teacher_layers, init_seed=seed)
                 _train_and_cache(teacher, cfg.teacher, train_ds, None, val_ds, seed_dir, "teacher")
                 # distill from the serialized float32 values, not the in-memory float64 ones
                 teacher_logits = read_logit_cache(seed_dir / "teacher.train.nkdl")
+            spec = MlpSpec(layers, init_seed=seed)
             params, hist = _train_and_cache(
                 spec, recipe, train_ds, teacher_logits, val_ds, seed_dir, role
             )

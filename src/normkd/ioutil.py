@@ -8,15 +8,19 @@ from pathlib import Path
 
 
 def atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all; an ``OSError`` names ``path``."""
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # the temporary's random name would change every run
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

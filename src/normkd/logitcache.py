@@ -36,21 +36,22 @@ def _record_dtype(c: int) -> np.dtype:
 
 def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
     """Write a cache: nonempty, ids that fit u32 and logits in the float32
-    range, each checked in that order before the file is touched."""
+    range, each checked in that order before the file is touched; each
+    error names ``path``."""
     if not len(require_cache(cache, "write_logit_cache input")):
-        raise ContractError("refusing to write an empty logit cache")
+        raise ContractError(f"{path}: refusing to write an empty logit cache")
     bad_id = (cache.sample_ids < 0) | (cache.sample_ids >= _ID_LIMIT)
     if bad_id.any():
         i = int(bad_id.argmax())
         raise ContractError(
-            f"record {i} has sample_id {cache.sample_ids[i]}, outside [0, 2**32)"
+            f"{path}: record {i} has sample_id {cache.sample_ids[i]}, outside [0, 2**32)"
         )
     with np.errstate(over="ignore"):
         narrowed = cache.logits.astype("<f4")
     overflow = ~np.isfinite(narrowed).all(axis=1)
     if overflow.any():
         i = int(overflow.argmax())
-        raise NumericError(f"record {i} has logits outside the float32 range")
+        raise NumericError(f"{path}: record {i} has logits outside the float32 range")
     n, c = narrowed.shape
     body = np.empty(n, dtype=_record_dtype(c))
     body["sample_id"] = cache.sample_ids

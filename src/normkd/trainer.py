@@ -196,6 +196,15 @@ def _teacher_matrix(cache: LogitCache, data: Dataset) -> np.ndarray:
     return cache.logits
 
 
+def _check_widths(spec: MlpSpec, data: Dataset) -> None:
+    """A spec whose input or class width is not the dataset's is a ContractError."""
+    widths = spec.layer_widths
+    if widths[0] != data.num_features:
+        raise ContractError(f"spec input width {widths[0]} != dataset features {data.num_features}")
+    if widths[-1] != data.num_classes:
+        raise ContractError(f"spec class width {widths[-1]} != dataset classes {data.num_classes}")
+
+
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 64) + int(epoch)))
     return rng.permutation(n)
@@ -270,16 +279,7 @@ def train(
         raise ContractError("training dataset is empty")
     if val_data is not None and val_data.n_samples == 0:
         raise ContractError("validation dataset is empty")
-    if spec.layer_widths[0] != train_data.num_features:
-        raise ContractError(
-            f"spec input width {spec.layer_widths[0]} != dataset features "
-            f"{train_data.num_features}"
-        )
-    if spec.layer_widths[-1] != train_data.num_classes:
-        raise ContractError(
-            f"spec class width {spec.layer_widths[-1]} != dataset classes "
-            f"{train_data.num_classes}"
-        )
+    _check_widths(spec, train_data)
     teacher = None
     if teacher_logits is not None:
         teacher = _teacher_matrix(teacher_logits, train_data)

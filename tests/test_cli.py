@@ -1,6 +1,11 @@
 """CLI subcommands, output determinism, and coded exit statuses."""
 
 import csv
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,22 @@ class TestGenData:
         assert gen_data(tmp_path, separation=1e308) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_failed_write_names_the_requested_file(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        errs = []
+        for _ in range(2):
+            assert gen_data(tmp_path, **{"out-prefix": "nodir/x"}) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0] == "error: [Errno 2] No such file or directory: 'nodir/x.train.txt'\n"
+
+    def test_failed_rename_names_the_file_and_leaves_no_temporary(self, tmp_path, capsys):
+        (tmp_path / "isdir" / "x.train.txt").mkdir(parents=True)
+        assert gen_data(tmp_path, **{"out-prefix": str(tmp_path / "isdir" / "x")}) == 3
+        target = tmp_path / "isdir" / "x.train.txt"
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{target}'\n"
+        assert [p.name for p in (tmp_path / "isdir").iterdir()] == ["x.train.txt"]
+
 
 def rows(logits, labels):
     """A LogitCache of the given rows and labels, with ids 0..N-1."""
@@ -77,6 +98,9 @@ def write_config(tmp_path, extra="", drop=()):
     path = tmp_path / "exp.cfg"
     path.write_text("\n".join(lines) + "\n" + extra)
     return path
+
+
+OVERFLOW = ": record 0 has logits outside the float32 range"
 
 
 class TestDistillCommand:
@@ -124,6 +148,62 @@ class TestDistillCommand:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize(
+        "command,line,drop,message",
+        [
+            ("distill", "std_corrected = maybe", (),
+             "std_corrected: expected true/false, got 'maybe'"),
+            ("distill", "seeds = 1,x", ("seeds",),
+             "seeds: expected comma-separated integers, got '1,x'"),
+            ("distill", "learning_rate = fast", (), "learning_rate: bad value 'fast'"),
+            ("distill", "epochs 3", ("epochs",), "exp.cfg:9: expected key=value, got 'epochs 3'"),
+            ("distill", "seeds =", ("seeds",), "seed list is empty"),
+            ("distill", "seeds = 0,-1", ("seeds",), "seeds must be nonnegative, got (0, -1)"),
+            ("train-teacher", "rule =", ("rule", "teacher_layers"),
+             "teacher training requires teacher_layers"),
+        ],
+    )
+    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys, command, line, drop,
+                                                   message):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, extra=line + "\n", drop=drop)
+        before = sorted(tmp_path.rglob("*"))
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "kind,message",
+        [
+            ("classes", "teacher cache record 0 has 5 classes, dataset has 3"),
+            ("reordered", "teacher cache record 0 (sample_id=23, label="),
+        ],
+    )
+    def test_teacher_cache_that_does_not_fit_the_data_exits_4(self, tmp_path, capsys, kind,
+                                                               message):
+        gen_data(tmp_path)
+        labels = read_dataset(tmp_path / "blobs.train.txt").labels
+        ids = np.arange(labels.size)
+        cache = (LogitCache(ids, labels, np.zeros((labels.size, 5))) if kind == "classes"
+                 else LogitCache(ids[::-1], labels[::-1], np.zeros((labels.size, 3))))
+        write_logit_cache(tmp_path / "teacher.nkdl", cache)
+        cfg = write_config(
+            tmp_path, extra="teacher_cache = teacher.nkdl\n", drop=("teacher_layers",)
+        )
+        assert main(["distill", "--config", str(cfg)]) == 4
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
+        gen_data(tmp_path)
+        (tmp_path / "out").write_bytes(b"kept")
+        cfg, stage = write_config(tmp_path), tmp_path / "out" / ".seed0.partial"
+        assert main(["distill", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 20] Not a directory: '{stage}'\n"
+        assert (tmp_path / "out").read_bytes() == b"kept"
+
     def test_cache_shape_mismatch_exits_4(self, tmp_path):
         gen_data(tmp_path)
         write_logit_cache(tmp_path / "teacher.nkdl", rows(np.zeros((3, 5)), [0, 0, 0]))
@@ -146,14 +226,16 @@ class TestDistillCommand:
         [
             ("distill", "student_layers =", 2, "need at least [input, classes] widths, got ()"),
             ("train-teacher", "teacher_layers = 4,5", 4, "spec class width 5 != dataset classes 3"),
-            ("distill", "learning_rate = 1e30", 4, "record 0 has logits outside the float32 range"),
+            # a refused cache names its file: the model and the seed
+            ("distill", "learning_rate = 1e30", 4,
+             "/out/.seed0.partial/teacher.train.nkdl" + OVERFLOW),
             ("train-teacher", "learning_rate = 1e30", 4,
-             "record 0 has logits outside the float32 range"),
+             "/out/.seed0.partial/teacher.train.nkdl" + OVERFLOW),
             # the teacher's caches are written, then the student's fail their checks
             ("distill", "learning_rate = 1e30\nteacher_epochs = 0", 4,
-             "record 0 has logits outside the float32 range"),
+             "/out/.seed0.partial/student.train.nkdl" + OVERFLOW),
             ("distill", "output_dir = runs/a/out\nlearning_rate = 1e30\nteacher_epochs = 0", 4,
-             "record 0 has logits outside the float32 range"),
+             "/runs/a/out/.seed0.partial/student.train.nkdl" + OVERFLOW),
         ],
     )
     def test_failed_run_leaves_no_output_dir(self, tmp_path, capsys, command, line, code, message):
@@ -255,6 +337,24 @@ class TestEvalCommand:
         (tmp_path / "junk.nkdl").write_bytes(b"not a cache")
         assert main(["eval", "--cache", str(tmp_path / "junk.nkdl")]) == 3
 
+    @pytest.mark.parametrize(
+        "content,code,message",
+        [
+            (struct.pack("<4sIII", b"NKDL", 1, 0, 3), 4, "{}: cache has no records"),
+            (struct.pack("<4sIII", b"NKDL", 1, 0, 0), 3, "{}: class count must be positive, got 0"),
+            (None, 3, "cannot read cache {}: [Errno 2] No such file or directory"),
+        ],
+        ids=["no_records", "no_classes", "missing"],
+    )
+    def test_unusable_cache_exits_coded(self, tmp_path, capsys, content, code, message):
+        path = tmp_path / "c.nkdl"
+        if content is not None:
+            path.write_bytes(content)
+        assert main(["eval", "--cache", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message.format(path)}")
+        assert not captured.out
+
 
 class TestAnalyzeCommand:
     def test_runs_on_distill_outputs(self, tmp_path, capsys):
@@ -292,6 +392,19 @@ class TestAnalyzeCommand:
             == 4
         )
 
+
+    def test_caches_of_different_class_counts_exit_4(self, tmp_path, capsys):
+        write_logit_cache(tmp_path / "a.nkdl", rows(np.zeros((2, 3)), [0, 1]))
+        write_logit_cache(tmp_path / "b.nkdl", rows(np.zeros((2, 4)), [0, 1]))
+        argv = [
+            "analyze",
+            "--teacher-cache", str(tmp_path / "a.nkdl"),
+            "--student-cache", str(tmp_path / "b.nkdl"),
+            "--out-dir", str(tmp_path / "x"),
+        ]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "error: caches disagree on class count\n"
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("t_norm", ["0", "-1"])
     def test_non_positive_t_norm_exits_4(self, tmp_path, capsys, t_norm):
@@ -351,3 +464,21 @@ class TestGradCheckCommand:
         captured = capsys.readouterr()
         assert "step must be finite and positive" in captured.err
         assert "ok" not in captured.out
+
+
+@pytest.mark.parametrize("fault,code", [([], 0), (["--inject-fault", "kd"], 1)])
+def test_python_dash_m_runs_the_cli(fault, code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "normkd", "grad-check", "--instances", "2", *fault],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    verdicts = [line.split()[-1] for line in lines]
+    assert verdicts == ["ok"] * 6 if code == 0 else "FAIL" in verdicts

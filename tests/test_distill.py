@@ -202,6 +202,15 @@ class TestKdLoss:
         with pytest.raises(DimensionError):
             kd_loss(np.zeros((2, 3)), np.zeros((2, 4)), [0, 1], 2.0)
 
+    def test_integral_float_labels_are_the_integer_labels(self):
+        z_s, z_t = np.arange(6.0).reshape(2, 3), np.ones((2, 3))
+        want = kd_loss(z_s, z_t, [0, 2], 2.0).total
+        assert kd_loss(z_s, z_t, np.array([0.0, 2.0]), 2.0).total == want
+
+    def test_non_integral_float_labels_rejected(self):
+        with pytest.raises(ContractError, match="^labels must be integers$"):
+            kd_loss(np.zeros((2, 3)), np.zeros((2, 3)), np.array([0.0, 1.5]), 2.0)
+
 
 class TestMultiTemp:
     def test_single_temperature_equals_soften_bitwise(self):

@@ -110,6 +110,11 @@ class TestConfigParsing:
         cfg = load_experiment_config(path, env={"NORMKD_SEED": "5,6,7"})
         assert cfg.seeds == (5, 6, 7)
 
+    @pytest.mark.parametrize("text,value", [("yes", True), ("0", False), ("No", False)])
+    def test_bool_values(self, tmp_path, text, value):
+        path = write_config(tmp_path, BASE_CONFIG + f"std_corrected = {text}\n")
+        assert load_experiment_config(path, env={}).student.std_corrected is value
+
     def test_default_schedule_only_with_default_epochs(self, tmp_path):
         text = BASE_CONFIG.replace("epochs = 3\n", "")
         cfg = load_experiment_config(write_config(tmp_path, text), env={})
@@ -255,6 +260,27 @@ class TestRunExperiment:
         with pytest.raises(FileFormatError, match="truncated header"):
             run_experiment(load_experiment_config(write_config(tmp_path, text), env={}))
         assert not (tmp_path / "out" / "seed0").exists()
+
+    @pytest.mark.parametrize(
+        "run,edit,message",
+        [
+            (run_experiment, ("student_layers = 4,6,3", "student_layers = 5,6,3"),
+             "spec input width 5 != dataset features 4"),
+            (run_experiment, ("teacher_layers = 4,12,3", "teacher_layers = 4,12,5"),
+             "spec class width 5 != dataset classes 3"),
+            (run_teacher_training, ("teacher_layers = 4,12,3", "teacher_layers = 4,12,5"),
+             "spec class width 5 != dataset classes 3"),
+        ],
+    )
+    def test_every_model_is_checked_against_the_data_before_any_trains(
+        self, tmp_path, monkeypatch, run, edit, message
+    ):
+        write_demo_inputs(tmp_path)
+        cfg = load_experiment_config(write_config(tmp_path, BASE_CONFIG.replace(*edit)), env={})
+        monkeypatch.setattr(experiment, "train", lambda *args: pytest.fail("a model trained"))
+        with pytest.raises(ContractError, match=re.escape(message)):
+            run(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_aggregate_mean_matches_recomputation(self, tmp_path):
         write_demo_inputs(tmp_path)
