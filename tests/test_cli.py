@@ -137,40 +137,20 @@ class TestDistillCommand:
         [
             (f"seeds = {2**64}", f"seeds must be below 2**64, got ({2**64},)"),
             ("rule = fixed:inf", "bad temperature rule 'fixed:inf': temperature must be finite"),
+            ("seeds = 0,-1", "seeds must be nonnegative, got (0, -1)"),
+            ("seeds =", "seed list is empty"),
+            ("seeds = 1,x", "seeds: expected comma-separated integers, got '1,x'"),
+            ("std_corrected = maybe", "std_corrected: expected true/false, got 'maybe'"),
+            ("learning_rate = fast", "learning_rate: bad value 'fast'"),
         ],
     )
-    def test_out_of_range_seed_or_infinite_rule_exits_2(self, tmp_path, capsys, line, message):
+    def test_bad_config_value_exits_2_and_writes_nothing(self, tmp_path, capsys, line, message):
         gen_data(tmp_path)
         cfg = write_config(tmp_path, extra=line + "\n", drop=(line.split()[0],))
         before = sorted(tmp_path.rglob("*"))
         assert main(["distill", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
-        assert sorted(tmp_path.rglob("*")) == before
-
-    @pytest.mark.parametrize(
-        "command,line,drop,message",
-        [
-            ("distill", "std_corrected = maybe", (),
-             "std_corrected: expected true/false, got 'maybe'"),
-            ("distill", "seeds = 1,x", ("seeds",),
-             "seeds: expected comma-separated integers, got '1,x'"),
-            ("distill", "learning_rate = fast", (), "learning_rate: bad value 'fast'"),
-            ("distill", "epochs 3", ("epochs",), "exp.cfg:9: expected key=value, got 'epochs 3'"),
-            ("distill", "seeds =", ("seeds",), "seed list is empty"),
-            ("distill", "seeds = 0,-1", ("seeds",), "seeds must be nonnegative, got (0, -1)"),
-            ("train-teacher", "rule =", ("rule", "teacher_layers"),
-             "teacher training requires teacher_layers"),
-        ],
-    )
-    def test_bad_config_exits_2_and_writes_nothing(self, tmp_path, capsys, command, line, drop,
-                                                   message):
-        gen_data(tmp_path)
-        cfg = write_config(tmp_path, extra=line + "\n", drop=drop)
-        before = sorted(tmp_path.rglob("*"))
-        assert main([command, "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize(
@@ -311,6 +291,14 @@ class TestTrainTeacherCommand:
         records = read_logit_cache(tmp_path / "out" / "seed0" / "teacher.train.nkdl")
         assert len(records) == 24
 
+    def test_no_teacher_layers_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        gen_data(tmp_path)
+        cfg = write_config(tmp_path, drop=("rule", "teacher_layers"))
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["train-teacher", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: teacher training requires teacher_layers\n"
+        assert sorted(tmp_path.rglob("*")) == before
+
     def test_bad_student_recipe_exits_2_before_training(self, tmp_path, capsys):
         # the student recipe is validated at load even though no student trains
         gen_data(tmp_path)
@@ -393,19 +381,6 @@ class TestAnalyzeCommand:
         )
 
 
-    def test_caches_of_different_class_counts_exit_4(self, tmp_path, capsys):
-        write_logit_cache(tmp_path / "a.nkdl", rows(np.zeros((2, 3)), [0, 1]))
-        write_logit_cache(tmp_path / "b.nkdl", rows(np.zeros((2, 4)), [0, 1]))
-        argv = [
-            "analyze",
-            "--teacher-cache", str(tmp_path / "a.nkdl"),
-            "--student-cache", str(tmp_path / "b.nkdl"),
-            "--out-dir", str(tmp_path / "x"),
-        ]
-        assert main(argv) == 4
-        assert capsys.readouterr().err == "error: caches disagree on class count\n"
-        assert not (tmp_path / "x").exists()
-
     @pytest.mark.parametrize("t_norm", ["0", "-1"])
     def test_non_positive_t_norm_exits_4(self, tmp_path, capsys, t_norm):
         write_logit_cache(tmp_path / "a.nkdl", rows([[1.0, 0.0, 2.0]], [0]))
@@ -480,5 +455,4 @@ def test_python_dash_m_runs_the_cli(fault, code):
     assert proc.returncode == code, proc.stderr
     lines = proc.stdout.splitlines()
     assert len(lines) == 6
-    verdicts = [line.split()[-1] for line in lines]
-    assert verdicts == ["ok"] * 6 if code == 0 else "FAIL" in verdicts
+    assert all(line.endswith(" ok") for line in lines) == (code == 0)

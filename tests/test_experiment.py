@@ -83,6 +83,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="missing required keys"):
             load_experiment_config(path, env={})
 
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = write_config(tmp_path, BASE_CONFIG + "epochs 4\n")
+        message = re.escape(f"{path}:12: expected key=value, got 'epochs 4'")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_experiment_config(path, env={})
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_config(tmp_path, BASE_CONFIG + "epochs = 4\n")
         with pytest.raises(ConfigError, match="duplicate"):
@@ -425,6 +431,8 @@ class TestAnalyze:
         shuffled = LogitCache(other.sample_ids[::-1], other.labels[::-1], other.logits[::-1])
         with pytest.raises(ContractError):
             analyze(teacher, shuffled)
+        with pytest.raises(ContractError, match="^caches disagree on class count$"):
+            analyze(teacher, fake_cache(rng, 5, 3))
 
     def test_write_analysis_files(self, tmp_path):
         rng = np.random.default_rng(4)
