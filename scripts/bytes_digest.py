@@ -16,7 +16,12 @@ run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
 temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
 Then come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
-big_cache widths (32-64-100 and 32-16-100) on 16,384 rows, and
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows; ``analyze``
+and ``write_analysis`` (every array of the result and the bytes of both
+files, written to a temporary directory) on 2 * 16,384 + 3 rows, twice
+``analyze``'s block of 16,384 plus three: the two big_cache-width nets'
+caches, and a C = 2 and a C = 3 pair with constant rows (the C = 3 pair
+has a class with no samples); and
 ``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
 default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
 instances=5`` for each of the audit's losses.  Last come
@@ -26,8 +31,8 @@ its public taped entry point (``kd_loss``, ``multi_temp_kld``,
 first 20 points, rebuilt from ``GRAD_CHECK_SEED`` in the audit's draw
 order, at steps 1e-5 and 1e-6; and one part for three primitive
 compositions, one of them on the strided view ``x.T``.  A loss case that
-raises contributes its error type and message instead.  Nothing is written
-to disk.
+raises contributes its error type and message instead.  Nothing else is
+written to disk.
 
 ``--cli`` digests a desk CLI sequence instead, run in-process in a
 temporary directory: gen-data, train-teacher, grad-check (default, and
@@ -244,6 +249,41 @@ def big_forwards(d: Digest) -> int:
         d.part(f"forward {'-'.join(map(str, widths))} n={BIG_ROWS}")
         d.add(widths, cache_teacher_logits(params, data).logits, evaluate(params, data))
     return len(BIG_WIDTHS)
+
+
+ANALYZE_BLOCK = 16384  # the rows of one analyze block when this part was added
+ANALYZE_ROWS = 2 * ANALYZE_BLOCK + 3
+
+
+def analyses(d: Digest) -> int:
+    from normkd import Dataset, MlpSpec, cache_teacher_logits, init_mlp
+    from normkd.experiment import analyze, write_analysis
+    from normkd.logitstats import LogitCache
+
+    rng = np.random.default_rng(23)
+    labels = rng.integers(0, 100, ANALYZE_ROWS)
+    data = Dataset(rng.normal(0.0, 2.0, size=(ANALYZE_ROWS, 32)), labels, 100)
+    nets = [cache_teacher_logits(init_mlp(MlpSpec(w, init_seed=s)), data)
+            for s, w in enumerate(BIG_WIDTHS)]
+    pairs = {f"{'-'.join(map(str, BIG_WIDTHS[0]))} vs {'-'.join(map(str, BIG_WIDTHS[1]))}": nets}
+    for c in (2, 3):
+        labels = rng.integers(0, c, ANALYZE_ROWS)
+        if c == 3:
+            labels[labels == 1] = 0  # a class with no samples
+        z_t, z_s = rng.normal(0.0, 2.0, size=(2, ANALYZE_ROWS, c))
+        z_t[::5], z_s[2::5] = z_t[::5, :1], z_s[2::5, 1:2]  # constant rows
+        ids = np.arange(ANALYZE_ROWS)
+        pairs[f"c={c}"] = [LogitCache(ids, labels, z) for z in (z_t, z_s)]
+    for name, (teacher, student) in pairs.items():
+        d.part(f"analyze {name} n={ANALYZE_ROWS}")
+        result = analyze(teacher, student)
+        d.add(result.sample_ids, result.labels, result.raw_matrix, result.norm_matrix)
+        for stats in (result.teacher_stats, result.student_stats):
+            d.add(*vars(stats).values())
+        with tempfile.TemporaryDirectory() as tmp:
+            for path in write_analysis(result, tmp):
+                d.add(path.name, path.read_bytes())
+    return len(pairs)
 
 
 def grad_checks(d: Digest) -> int:
@@ -472,7 +512,8 @@ def main(argv=None) -> int:
         summary = f"{cli_parts(d)} CLI commands"
     else:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
-                   f"{big_forwards(d)} large-batch forwards, {grad_checks(d)} grad-check calls, "
+                   f"{big_forwards(d)} large-batch forwards, {analyses(d)} analyses, "
+                   f"{grad_checks(d)} grad-check calls, "
                    f"{grad_check_errors(d)} grad_check errors")
     if args.each:
         for name, h in d.parts.items():
