@@ -72,12 +72,12 @@ from .logitstats import (
     LogitCache,
     LogitSummary,
     NormStd,
+    _row_stats,
+    _summary,
     parse_rule,
     require_cache,
     rule_label,
-    summarize,
 )
-from .numcore import log_softmax_values
 from .trainer import (
     MlpSpec,
     TrainConfig,
@@ -343,6 +343,11 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Analysis: per-sample statistics and class-difference matrices
 
+# rows per ``analyze`` block, picked on perfbench big_cache over run directories of six
+# name lengths (the heap mode moves with them): at 2,048 and 8,192 rows the cache round
+# trips after analyze ran about 0.85x the parent's, and at 32,768 analyze ran 0.9x as fast
+ANALYZE_BLOCK_ROWS = 16384
+
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
@@ -362,12 +367,14 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def _diff_matrix(p_s: np.ndarray, p_t: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    out = np.zeros((p_s.shape[1],) * 2)
+def _diff_matrix(d: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """|mean of the rows of class c1| of the (N, C) difference ``d``, each class's
+    rows reduced in dataset order; a class with no rows keeps a zero row."""
+    out = np.zeros((d.shape[1],) * 2)
     for c1 in range(len(out)):
         mask = labels == c1
         if mask.any():
-            out[c1] = np.abs((p_s[mask] - p_t[mask]).mean(axis=0))
+            out[c1] = np.abs(d[mask].mean(axis=0))
     return out
 
 
@@ -379,7 +386,9 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
     at T=1 (raw) and at each sample's own normalized temperature (norm),
     max(std(z), 1e-8) * t_norm, where std is the corrected (divide by
     C-1) row std and t_norm must be positive.  Classes with no samples
-    keep zero rows.
+    keep zero rows.  The statistics are ``summarize``'s, bit for bit: the
+    rows go through in blocks of ``ANALYZE_BLOCK_ROWS``, with one T=1
+    log-softmax per cache and block, and every value is row by row.
     """
     rule = NormStd(t_norm)
     require_cache(teacher, "analyze teacher")
@@ -395,16 +404,25 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
         raise ContractError(
             f"caches disagree on sample order at id {teacher.sample_ids[mismatch.argmax()]}"
         )
-    labels, z_t, z_s = teacher.labels, teacher.logits, student.logits
+    # every whole-cache array is made before the first block, so the blocks' temporaries
+    # leave one free region behind them, not one cut up by later columns
+    raw, norm = np.empty(teacher.logits.shape), np.empty(teacher.logits.shape)
+    t_columns, s_columns = ([np.empty(len(teacher)) for _ in range(5)] for _ in range(2))
+    for lo in range(0, len(teacher), ANALYZE_BLOCK_ROWS):
+        rows = slice(lo, lo + ANALYZE_BLOCK_ROWS)
+        z_t, z_s = teacher.logits[rows], student.logits[rows]
+        (t_block, p_t), (s_block, p_s) = _row_stats(z_t), _row_stats(z_s)
+        for column, values in zip(t_columns + s_columns, t_block + s_block):
+            column[rows] = values
+        np.subtract(p_s, p_t, out=raw[rows])
+        np.subtract(teacher_side(rule, z_s)[1], teacher_side(rule, z_t)[1], out=norm[rows])
     return AnalysisResult(
         sample_ids=teacher.sample_ids,
-        labels=labels,
-        teacher_stats=summarize(teacher),
-        student_stats=summarize(student),
-        raw_matrix=_diff_matrix(
-            np.exp(log_softmax_values(z_s)), np.exp(log_softmax_values(z_t)), labels
-        ),
-        norm_matrix=_diff_matrix(teacher_side(rule, z_s)[1], teacher_side(rule, z_t)[1], labels),
+        labels=teacher.labels,
+        teacher_stats=_summary(*t_columns),
+        student_stats=_summary(*s_columns),
+        raw_matrix=_diff_matrix(raw, teacher.labels),
+        norm_matrix=_diff_matrix(norm, teacher.labels),
     )
 
 
@@ -419,8 +437,10 @@ def write_analysis(result: AnalysisResult, out_dir: Path | str) -> tuple[Path, P
     for stat in stat_names:
         header += [f"teacher_{stat}", f"student_{stat}"]
         columns += [getattr(result.teacher_stats, stat), getattr(result.student_stats, stat)]
-    # each cell is the repr of a Python int or float; csv formats floats more slowly
-    _write_csv(summary_path, tuple(header), zip(*(map(repr, col.tolist()) for col in columns)))
+    # each cell is the repr of a Python int or float, which never needs csv quoting,
+    # so joined lines are csv.writer's bytes
+    lines = map(",".join, zip(*(map(repr, col.tolist()) for col in columns)))
+    atomic_write_text(summary_path, "\n".join([",".join(header), *lines]) + "\n")
 
     matrix_path = out_dir / "analyze_matrix.csv"
     c = result.raw_matrix.shape[0]

@@ -219,6 +219,22 @@ class LogitSummary:
     sigma_hist_edges: np.ndarray
 
 
+def _row_stats(z: np.ndarray):
+    """``summarize``'s per-row columns of ``z`` (sigma, mu, v_max, v_min,
+    entropy) and its T=1 probabilities, from one log-softmax and one exp.
+    Every value is row by row: a block's rows of them equal the block's own."""
+    log_p = log_softmax_values(z)
+    p = np.exp(log_p)
+    entropy = -(p * log_p).sum(axis=1)
+    return (std_rows(z)[:, 0], z.mean(axis=1), z.max(axis=1), z.min(axis=1), entropy), p
+
+
+def _summary(sigma, mu, v_max, v_min, entropy) -> LogitSummary:
+    """The per-row columns with the sigma histogram added."""
+    counts, edges = np.histogram(sigma, bins=HISTOGRAM_BINS, range=(sigma.min(), sigma.max()))
+    return LogitSummary(sigma, mu, v_max, v_min, entropy, counts, edges)
+
+
 def summarize(cache: LogitCache) -> LogitSummary:
     """Summarize a cache's rows.
 
@@ -229,19 +245,7 @@ def summarize(cache: LogitCache) -> LogitSummary:
     """
     if not len(require_cache(cache, "summarize input")):
         raise ContractError("summarize needs at least one record")
-    z = cache.logits
-    sigma = std_rows(z)[:, 0]
-    log_p = log_softmax_values(z)
-    counts, edges = np.histogram(sigma, bins=HISTOGRAM_BINS, range=(sigma.min(), sigma.max()))
-    return LogitSummary(
-        sigma=sigma,
-        mu=z.mean(axis=1),
-        v_max=z.max(axis=1),
-        v_min=z.min(axis=1),
-        entropy=-(np.exp(log_p) * log_p).sum(axis=1),
-        sigma_hist_counts=counts,
-        sigma_hist_edges=edges,
-    )
+    return _summary(*_row_stats(cache.logits)[0])
 
 
 # every rule but MultiSet, whose parameters are one comma-separated field

@@ -1,8 +1,9 @@
 """Config parsing, orchestrated runs, analysis, and the gradient audit."""
 
 import csv
+import io
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from normkd.distill import (
     kd_loss,
     multi_temp_kld,
     normkd_loss,
+    teacher_side,
 )
 from normkd.errors import ConfigError, ContractError, FileFormatError
 from normkd.experiment import (
@@ -30,8 +32,8 @@ from normkd.experiment import (
 )
 from normkd import distill, experiment
 from normkd.logitcache import read_logit_cache, write_logit_cache
-from normkd.logitstats import Fixed, LogitCache, MaxVal, Range, sample_std
-from normkd.numcore import Tape
+from normkd.logitstats import Fixed, LogitCache, MaxVal, NormStd, Range, sample_std, summarize
+from normkd.numcore import Tape, log_softmax_values, std_rows
 from normkd.trainer import MlpSpec, TrainConfig, cache_teacher_logits, init_mlp, train
 
 
@@ -473,6 +475,99 @@ class TestAnalyze:
         assert rows[4] == ",".join(
             ["normalized", "1"] + [repr(float(v)) for v in result.norm_matrix[1]]
         )
+
+
+def whole_array_analysis(teacher, student, t_norm=2.0):
+    """What ``analyze`` computed before it went through row blocks: each side's
+    statistics from whole-cache arrays, and each matrix from two whole-cache
+    probability arrays subtracted class by class."""
+
+    def stats(z):
+        log_p = log_softmax_values(z)
+        sigma = std_rows(z)[:, 0]
+        entropy = -(np.exp(log_p) * log_p).sum(axis=1)
+        counts, edges = np.histogram(sigma, bins=50, range=(sigma.min(), sigma.max()))
+        return sigma, z.mean(axis=1), z.max(axis=1), z.min(axis=1), entropy, counts, edges
+
+    def diff_matrix(p_s, p_t, labels):
+        out = np.zeros((p_s.shape[1],) * 2)
+        for c1 in range(len(out)):
+            mask = labels == c1
+            if mask.any():
+                out[c1] = np.abs((p_s[mask] - p_t[mask]).mean(axis=0))
+        return out
+
+    rule, labels, z_t, z_s = NormStd(t_norm), teacher.labels, teacher.logits, student.logits
+    raw = diff_matrix(np.exp(log_softmax_values(z_s)), np.exp(log_softmax_values(z_t)), labels)
+    norm = diff_matrix(teacher_side(rule, z_s)[1], teacher_side(rule, z_t)[1], labels)
+    return stats(z_t), stats(z_s), raw, norm
+
+
+def summary_arrays(summary):
+    return tuple(getattr(summary, f.name) for f in fields(summary))
+
+
+def degenerate_pair(n, c, seed):
+    """Teacher and student caches of ``n`` rows and ``c`` classes with constant
+    rows on both sides and, for ``c`` > 2, a class with no samples."""
+    rng = np.random.default_rng([n, c, seed])
+    labels = rng.integers(0, c, size=n)
+    if c > 2:
+        labels[labels == c - 1] = 0
+    z_t, z_s = rng.normal(0.0, 2.0, size=(n, c)), rng.normal(0.0, 3.0, size=(n, c))
+    z_t[::4], z_s[1::3] = z_t[::4, :1], 0.5
+    return LogitCache(np.arange(n), labels, z_t), LogitCache(np.arange(n), labels, z_s)
+
+
+class TestBlockedAnalyze:
+    B = experiment.ANALYZE_BLOCK_ROWS
+
+    @pytest.mark.parametrize("c", [2, 3, 100])
+    @pytest.mark.parametrize("n", [1, B - 1, B, B + 1, 2 * B + 3])
+    def test_equals_whole_array_formulas_bytes(self, n, c):
+        teacher, student = degenerate_pair(n, c, 0)
+        result = analyze(teacher, student)
+        t_stats, s_stats, raw, norm = whole_array_analysis(teacher, student)
+        for got, want in [(summary_arrays(result.teacher_stats), t_stats),
+                          (summary_arrays(result.student_stats), s_stats),
+                          ((result.raw_matrix, result.norm_matrix), (raw, norm))]:
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        # summarize is the whole-array form of the same columns
+        assert [a.tobytes() for a in summary_arrays(summarize(teacher))] == [
+            a.tobytes() for a in t_stats
+        ]
+        if c > 2:
+            assert not result.raw_matrix[c - 1].any() and not result.norm_matrix[c - 1].any()
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_any_block_size_gives_the_same_bytes(self, tmp_path, monkeypatch, block):
+        teacher, student = degenerate_pair(50, 5, 1)
+        files = {}
+        for rows in (experiment.ANALYZE_BLOCK_ROWS, block):
+            monkeypatch.setattr(experiment, "ANALYZE_BLOCK_ROWS", rows)
+            paths = write_analysis(analyze(teacher, student, t_norm=1.5), tmp_path / str(rows))
+            files[rows] = [p.read_bytes() for p in paths]
+        assert files[block] == files[experiment.ANALYZE_BLOCK_ROWS]
+
+    def test_summary_csv_is_the_csv_writer_rendering(self, tmp_path):
+        rng = np.random.default_rng(8)
+        # magnitudes from 1e-150 to 1e150, exact zeros and negative values
+        scale = 10.0 ** rng.integers(-150, 150, size=(40, 1))
+        teacher = fake_cache(rng, 40, 4)
+        teacher = with_logits(teacher, teacher.logits * scale)
+        student = with_logits(teacher, np.where(rng.random((40, 4)) < 0.3, 0.0, -teacher.logits))
+        result = analyze(teacher, student)
+        summary_path, _ = write_analysis(result, tmp_path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        header = ["sample_id", "label"]
+        columns = [result.sample_ids, result.labels]
+        for stat in ("sigma", "v_max", "v_min", "entropy"):
+            header += [f"teacher_{stat}", f"student_{stat}"]
+            columns += [getattr(result.teacher_stats, stat), getattr(result.student_stats, stat)]
+        writer.writerow(header)
+        writer.writerows(zip(*(map(repr, col.tolist()) for col in columns)))
+        assert summary_path.read_bytes() == buf.getvalue().encode()
 
 
 class TestAnalyzeDemoRun:
