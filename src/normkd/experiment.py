@@ -239,13 +239,16 @@ def write_history_csv(path: Path | str, history: TrainHistory) -> None:
 
 @contextlib.contextmanager
 def _seed_dir(output_dir: Path, seed: int):
-    """Yield the directory to write seed ``seed``'s files into: a hidden sibling
-    that becomes ``output_dir/seed<k>`` only once the body has written them all.
-    On failure it is removed, and so are ``output_dir`` and its parents if made for it."""
+    """Make and yield the directory to write seed ``seed``'s files into: a hidden
+    sibling that becomes ``output_dir/seed<k>`` only once the body has written them
+    all.  It is made before the body runs, so an ``output_dir`` that cannot hold it
+    fails before anything trains.  On failure it is removed, and so are
+    ``output_dir`` and its parents if made for it."""
     made = next((d for d in (*reversed(output_dir.parents), output_dir) if not d.exists()), None)
     stage, final = output_dir / f".seed{seed}.partial", output_dir / f"seed{seed}"
     shutil.rmtree(stage, ignore_errors=True)  # what a killed run left
     try:
+        stage.mkdir(parents=True)
         yield stage
     except BaseException:
         shutil.rmtree(stage, ignore_errors=True)
@@ -264,7 +267,6 @@ def _train_and_cache(spec: MlpSpec, recipe: TrainConfig, train_ds, teacher, val_
     """Train ``spec``'s MLP on ``recipe`` at the spec's init seed, distilling from the ``teacher``
     cache unless it is None, and write its ``<role>.{train,val}.nkdl`` into ``seed_dir``."""
     params, history = train(spec, replace(recipe, seed=spec.init_seed), train_ds, teacher, val_ds)
-    seed_dir.mkdir(parents=True, exist_ok=True)
     for split, data in (("train", train_ds), ("val", val_ds)):
         write_logit_cache(seed_dir / f"{role}.{split}.nkdl", cache_teacher_logits(params, data))
     return params, history
@@ -307,9 +309,13 @@ def _run_seeds(cfg: ExperimentConfig, layers, recipe: TrainConfig, role, history
     cached = cfg.teacher_cache is not None and recipe.rule is not None
     teacher_logits = read_logit_cache(cfg.teacher_cache) if cached else None
     own_teacher = recipe.rule is not None and not cached
-    # every model is checked against the data before the first one trains
+    # every model is checked against both splits before the first one trains
     for widths in (layers, cfg.teacher_layers) if own_teacher else (layers,):
         _check_widths(MlpSpec(widths), train_ds)
+        try:
+            _check_widths(MlpSpec(widths), val_ds)
+        except ContractError as exc:
+            raise ContractError(f"{cfg.val_data}: {exc}") from None
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         with _seed_dir(cfg.output_dir, seed) as seed_dir:

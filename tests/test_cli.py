@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from normkd import experiment
 from normkd.cli import main
 from normkd.datasets import read_dataset
 from normkd.logitcache import read_logit_cache, write_logit_cache
@@ -182,6 +183,18 @@ class TestDistillCommand:
         assert main(["distill", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert err == f"error: [Errno 20] Not a directory: '{stage}'\n"
+        assert (tmp_path / "out").read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("command", ["distill", "train-teacher"])
+    def test_output_dir_that_is_a_file_is_refused_before_any_model_trains(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        gen_data(tmp_path)
+        (tmp_path / "out").write_bytes(b"kept")
+        monkeypatch.setattr(experiment, "train", lambda *args: pytest.fail("a model trained"))
+        assert main([command, "--config", str(write_config(tmp_path))]) == 3
+        stage = tmp_path / "out" / ".seed0.partial"
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{stage}'\n"
         assert (tmp_path / "out").read_bytes() == b"kept"
 
     def test_cache_shape_mismatch_exits_4(self, tmp_path):

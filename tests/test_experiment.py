@@ -290,6 +290,23 @@ class TestRunExperiment:
             run(cfg)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("run", [run_experiment, run_teacher_training])
+    @pytest.mark.parametrize(
+        "dim,classes,message",
+        [(5, 3, "spec input width 4 != dataset features 5"),
+         (4, 4, "spec class width 3 != dataset classes 4")],
+    )
+    def test_val_split_is_checked_before_any_model_trains(
+        self, tmp_path, monkeypatch, run, dim, classes, message
+    ):
+        write_demo_inputs(tmp_path)
+        write_dataset(tmp_path / "blobs.val.txt", make_blobs(classes, dim, 10, 3.0, seed=9)[1])
+        cfg = load_experiment_config(write_config(tmp_path), env={})
+        monkeypatch.setattr(experiment, "train", lambda *args: pytest.fail("a model trained"))
+        with pytest.raises(ContractError, match=f"^{re.escape(f'{cfg.val_data}: {message}')}$"):
+            run(cfg)
+        assert not (tmp_path / "out").exists()
+
     def test_aggregate_mean_matches_recomputation(self, tmp_path):
         write_demo_inputs(tmp_path)
         cfg = load_experiment_config(write_config(tmp_path), env={})
