@@ -349,9 +349,9 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Analysis: per-sample statistics and class-difference matrices
 
-# rows per ``analyze`` block, picked on perfbench big_cache over run directories of six
-# name lengths (the heap mode moves with them): at 2,048 and 8,192 rows the cache round
-# trips after analyze ran about 0.85x the parent's, and at 32,768 analyze ran 0.9x as fast
+# rows per ``analyze`` block (13 MB temporaries at 100 classes): on perfbench big_cache over
+# six run-directory name lengths, 2,048 to 16,384 rows kept the later calls' rates, while
+# 32,768-row temporaries were mapped anew each block, at about twice the page faults
 ANALYZE_BLOCK_ROWS = 16384
 
 
