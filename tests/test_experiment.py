@@ -560,11 +560,11 @@ class TestBlockedAnalyze:
     def test_any_block_size_gives_the_same_bytes(self, tmp_path, monkeypatch, block):
         teacher, student = degenerate_pair(50, 5, 1)
         files = {}
-        for rows in (experiment.ANALYZE_BLOCK_ROWS, block):
+        for rows in (self.B, block):
             monkeypatch.setattr(experiment, "ANALYZE_BLOCK_ROWS", rows)
             paths = write_analysis(analyze(teacher, student, t_norm=1.5), tmp_path / str(rows))
             files[rows] = [p.read_bytes() for p in paths]
-        assert files[block] == files[experiment.ANALYZE_BLOCK_ROWS]
+        assert files[block] == files[self.B]
 
     def test_summary_csv_is_the_csv_writer_rendering(self, tmp_path):
         rng = np.random.default_rng(8)
