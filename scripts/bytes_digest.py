@@ -16,7 +16,12 @@ run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
 every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
 temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
 Then come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
-big_cache widths (32-64-100 and 32-16-100) on 16,384 rows; ``analyze``
+big_cache widths (32-64-100 and 32-16-100) on 16,384 rows; one part for
+the paper-named wrappers on three rows of each row kind at every class
+count (``soften``, ``kl_divergence``, ``norm_soften``, ``sample_std``,
+``temperature_for`` of every rule above and ``multi_temp_prediction`` per
+row, and ``normkd_loss`` and ``multi_temp_kld`` per matrix, plain and as
+a taped leaf's gradient); ``analyze``
 and ``write_analysis`` (every array of the result and the bytes of both
 files, written to a temporary directory) on 2 * 16,384 + 3 rows, twice
 ``analyze``'s block of 16,384 plus three: the two big_cache-width nets'
@@ -249,6 +254,75 @@ def big_forwards(d: Digest) -> int:
         d.part(f"forward {'-'.join(map(str, widths))} n={BIG_ROWS}")
         d.add(widths, cache_teacher_logits(params, data).logits, evaluate(params, data))
     return len(BIG_WIDTHS)
+
+
+WRAPPER_ROWS = 3
+WRAPPER_TEMPERATURES = (0.5, 1.0, 4.0)
+
+
+def _call(d: Digest, fn, *args) -> None:
+    """Add ``fn(*args)`` (each item of a tuple result), or the error it raises."""
+    try:
+        out = fn(*args)
+        d.add(*(out if isinstance(out, tuple) else (out,)))
+    except Exception as exc:  # a raising call is part of the behaviour digested
+        d.add(type(exc).__name__, str(exc))
+
+
+def _leaf_grad(loss, z_s, *args) -> np.ndarray:
+    from normkd.numcore import Tape
+
+    tape = Tape()
+    leaf = tape.leaf(z_s)
+    tape.backward(loss(leaf, *args))
+    return leaf.grad
+
+
+def wrappers(d: Digest) -> int:
+    """The paper-named wrappers on the loss grid's row kinds, at every class count:
+    per row ``soften``, ``kl_divergence``, ``norm_soften``, ``sample_std``,
+    ``temperature_for`` of every digest rule and ``multi_temp_prediction``; per
+    matrix ``normkd_loss`` and ``multi_temp_kld``, plain and as a leaf's gradient.
+    The two losses get ``t_norm`` or the temperatures and nothing else."""
+    from normkd import (kl_divergence, multi_temp_kld, multi_temp_prediction, norm_soften,
+                        normkd_loss, sample_std, soften, temperature_for)
+    from normkd.logitstats import parse_rule
+
+    rules = [parse_rule(spec) for spec in RULES]
+    t_norms = sorted({r.t_norm for r in rules if hasattr(r, "t_norm")})
+    temp_sets = [r.temperatures for r in rules if hasattr(r, "temperatures")]
+
+    def normkd_plain(z_s, z_t, t_norm):
+        rep = normkd_loss(z_s, z_t, t_norm)
+        return rep.total, rep.ce_part, rep.kld_part, rep.per_sample_weight
+
+    def normkd_node(s, z_t, t_norm):
+        return normkd_loss(s, z_t, t_norm).node
+
+    d.part("paper wrappers over the row kinds")
+    for c, kind in itertools.product(CLASSES, ROW_KINDS):
+        rng = np.random.default_rng([WRAPPER_ROWS, c, ROW_KINDS.index(kind), 1])
+        z_s, z_t = _logits(rng, WRAPPER_ROWS, c, kind), _logits(rng, WRAPPER_ROWS, c, kind)
+        d.add(c, kind)
+        for zs, zt in zip(z_s, z_t):
+            for t in WRAPPER_TEMPERATURES:
+                _call(d, soften, zt, t)
+                _call(d, lambda t: kl_divergence(soften(zt, t), soften(zs, t)), t)
+            for t_norm in t_norms:
+                _call(d, norm_soften, zt, t_norm)
+            for corrected in (True, False):
+                _call(d, sample_std, zt, corrected)
+                for rule in rules:
+                    _call(d, temperature_for, rule, zt, corrected)
+            for temps in temp_sets:
+                _call(d, multi_temp_prediction, zt, temps)
+        for t_norm in t_norms:
+            _call(d, normkd_plain, z_s, z_t, t_norm)
+            _call(d, _leaf_grad, normkd_node, z_s, z_t, t_norm)
+        for temps in temp_sets:
+            _call(d, multi_temp_kld, z_s, z_t, temps)
+            _call(d, _leaf_grad, multi_temp_kld, z_s, z_t, temps)
+    return len(CLASSES) * len(ROW_KINDS) * WRAPPER_ROWS
 
 
 ANALYZE_BLOCK = 16384  # the rows of one analyze block when this part was added
@@ -512,7 +586,8 @@ def main(argv=None) -> int:
         summary = f"{cli_parts(d)} CLI commands"
     else:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
-                   f"{big_forwards(d)} large-batch forwards, {analyses(d)} analyses, "
+                   f"{big_forwards(d)} large-batch forwards, {wrappers(d)} wrapper rows, "
+                   f"{analyses(d)} analyses, "
                    f"{grad_checks(d)} grad-check calls, "
                    f"{grad_check_errors(d)} grad_check errors")
     if args.each:
