@@ -50,7 +50,6 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, DimensionError, NumericError
 from .logitstats import (
-    DEFAULT_EPSILON,
     Fixed,
     MaxVal,
     MultiSet,
@@ -117,20 +116,14 @@ def soften(logits, temperature: float) -> np.ndarray:
     return np.exp(log_softmax_values(z / float(temperature)))
 
 
-def norm_soften(
-    logits,
-    t_norm: float = DEFAULT_T_NORM,
-    epsilon: float = DEFAULT_EPSILON,
-    corrected: bool = True,
-) -> np.ndarray:
+def norm_soften(logits, t_norm: float = DEFAULT_T_NORM) -> np.ndarray:
     """Soften with the sample's own scale: T = max(std(z), epsilon) * t_norm.
 
-    Equivalent to softening the mean-centered logits, since a constant
-    shift cancels in the softmax.  ``t_norm`` and ``epsilon`` are checked
-    by :class:`NormStd`.
+    ``NormStd`` checks ``t_norm`` and holds epsilon; the population std is
+    ``temperature_for``'s ``corrected``.  A shift of z cancels, as in softmax.
     """
     z = as_vector(logits, "logits")
-    return soften(z, temperature_for(NormStd(t_norm, epsilon), z, corrected))
+    return soften(z, temperature_for(NormStd(t_norm), z))
 
 
 def kl_divergence(p_teacher, p_student) -> float:
@@ -307,25 +300,17 @@ def multi_temp_kld(student_logits, teacher_logits, temps):
     return kld if isinstance(kld, Tensor) else float(kld)
 
 
-def normkd_loss(
-    student_logits,
-    teacher_logits,
-    t_norm: float = DEFAULT_T_NORM,
-    epsilon: float = DEFAULT_EPSILON,
-    corrected: bool = True,
-    detach_student_std: bool = False,
-) -> LossReport:
+def normkd_loss(student_logits, teacher_logits, t_norm: float = DEFAULT_T_NORM) -> LossReport:
     """Per-sample normalized-temperature distillation.
 
-    Sample i is softened at temperature max(std_i, epsilon) * t_norm on
-    each side (its own std), and its divergence is weighted by the
-    squared teacher temperature.  The report carries only the KLD fields:
-    ce_part is 0 and total equals kld_part.
+    Sample i is softened at max(std_i, epsilon) * t_norm on each side (its
+    own std) and weighted by the squared teacher temperature; ce_part is 0
+    and total equals kld_part.  Epsilon is a ``NormStd`` field, and the std
+    estimator and a detached student std are ``distill_loss``'s.
     """
-    rule = NormStd(t_norm, epsilon)
+    rule = NormStd(t_norm)
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    teacher = teacher_side(rule, z_t, corrected)
-    kld, weights = _rule_kld(rule, student_logits, teacher, corrected, detach_student_std)
+    kld, weights = _rule_kld(rule, student_logits, teacher_side(rule, z_t), True, False)
     return _report(kld, 0.0, kld, weights, z_s.shape[0])
 
 

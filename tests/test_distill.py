@@ -108,6 +108,14 @@ class TestNormSoften:
             expected = [float(p) for p in norm_soften_mp(z, t_norm)]
             np.testing.assert_allclose(norm_soften(z, t_norm), expected, rtol=1e-12, atol=1e-15)
 
+    def test_is_soften_at_the_normstd_temperature(self):
+        rng = np.random.default_rng(15)
+        rows = [rng.normal(0, 3, size=c) for c in (2, 3, 10, 100)] + [np.full(4, 7.0)]
+        for z in rows:
+            for t_norm in (0.5, 2.0):
+                expected = soften(z, temperature_for(NormStd(t_norm), z))
+                assert norm_soften(z, t_norm).tobytes() == expected.tobytes()
+
 
 class TestKlDivergence:
     def test_identity_is_zero(self):
@@ -301,7 +309,8 @@ class TestNormKdLoss:
                 z_t = rng.normal(0, 2, size=(n, c))
                 t_norm = float(rng.uniform(0.5, 3))
                 expected = float(normkd_loss_mp(z_s, z_t, t_norm, corrected=corrected))
-                got = normkd_loss(z_s, z_t, t_norm, corrected=corrected).total
+                got = distill_loss(NormStd(t_norm), z_s, z_t, np.zeros(n, int), alpha=0.0,
+                                   beta=1.0, corrected=corrected).kld_part
                 np.testing.assert_allclose(got, expected, rtol=1e-11)
 
     def test_batch_equals_mean_of_single_sample_calls(self):
@@ -319,18 +328,32 @@ class TestNormKdLoss:
         rng = np.random.default_rng(27)
         z_s = rng.normal(size=(3, 4))
         z_t = rng.normal(size=(3, 4))
-        live = normkd_loss(z_s, z_t, 2.0, detach_student_std=False).total
-        detached = normkd_loss(z_s, z_t, 2.0, detach_student_std=True).total
-        assert live == detached
+        labels = np.zeros(3, int)
+
+        def kld(z, detach):
+            return distill_loss(NormStd(2.0), z, z_t, labels, alpha=0.0, beta=1.0,
+                                detach_student_stat=detach)
+
+        assert kld(z_s, False).kld_part == kld(z_s, True).kld_part
 
         def grad_of(detach):
             tape = Tape()
             t = tape.leaf(z_s)
-            rep = normkd_loss(t, z_t, 2.0, detach_student_std=detach)
-            tape.backward(rep.node)
+            tape.backward(kld(t, detach).node)
             return t.grad.copy()
 
         assert np.max(np.abs(grad_of(False) - grad_of(True))) > 1e-8
+
+    def test_is_distill_loss_kld_part_at_alpha_zero_beta_one(self):
+        rng = np.random.default_rng(44)
+        for t_norm in (0.5, 2.0):
+            for n, c in ((1, 2), (4, 5)):
+                z_s, z_t = rng.normal(0, 2, size=(2, n, c))
+                rep = normkd_loss(z_s, z_t, t_norm)
+                ref = distill_loss(NormStd(t_norm), z_s, z_t, np.zeros(n, int), 0.0, 1.0)
+                assert np.float64(rep.total).tobytes() == np.float64(ref.kld_part).tobytes()
+                assert rep.per_sample_weight.tobytes() == ref.per_sample_weight.tobytes()
+                assert rep.ce_part == 0.0 and rep.kld_part == rep.total
 
 
 class TestRuleParameterChecks:
@@ -505,7 +528,8 @@ class TestGradients:
         # detached analytic gradient must now disagree with the finite
         # differences (which always see the full dependence)
         err_detached = grad_check(
-            lambda t: normkd_loss(t, z_t, 2.0, detach_student_std=True).node, z_s
+            lambda t: distill_loss(NormStd(2.0), t, z_t, np.zeros(3, int), alpha=0.0,
+                                   beta=1.0, detach_student_stat=True).node, z_s
         )
         assert err_detached > 1e-2
 
