@@ -230,7 +230,12 @@ def _row_stats(z: np.ndarray):
 
 
 def _summary(sigma, mu, v_max, v_min, entropy) -> LogitSummary:
-    """The per-row columns with the sigma histogram added."""
+    """The per-row columns with the sigma histogram added.  A sigma that is not
+    finite (a finite row whose spread overflows float64) is a NumericError."""
+    bad = ~np.isfinite(sigma)
+    if bad.any():
+        row = int(bad.argmax())
+        raise NumericError(f"row {row} has a logit std that is not finite: {sigma[row]}")
     counts, edges = np.histogram(sigma, bins=HISTOGRAM_BINS, range=(sigma.min(), sigma.max()))
     return LogitSummary(sigma, mu, v_max, v_min, entropy, counts, edges)
 

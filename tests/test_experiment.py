@@ -21,7 +21,7 @@ from normkd.distill import (
     normkd_loss,
     teacher_side,
 )
-from normkd.errors import ConfigError, ContractError, FileFormatError
+from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
 from normkd.experiment import (
     analyze,
     frobenius,
@@ -452,6 +452,16 @@ class TestAnalyze:
             analyze(teacher, shuffled)
         with pytest.raises(ContractError, match="^caches disagree on class count$"):
             analyze(teacher, fake_cache(rng, 5, 3))
+
+    @pytest.mark.parametrize("side", ["teacher", "student"])
+    def test_overflowing_row_std_is_a_numeric_error_naming_the_row(self, side):
+        rng = np.random.default_rng(5)
+        finite = fake_cache(rng, 4, 3)
+        logits = finite.logits.copy()
+        logits[2] = [1e300, -1e300, 0.0]
+        caches = [finite, with_logits(finite, logits)]
+        with pytest.raises(NumericError, match=r"^row 2 has a logit std that is not finite: inf$"):
+            analyze(*(caches if side == "student" else caches[::-1]))
 
     def test_write_analysis_files(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -279,6 +279,11 @@ class TestSummarize:
         with pytest.raises(ContractError, match="at least one record"):
             summarize(LogitCache(np.empty(0), np.empty(0), np.empty((0, 3))))
 
+    def test_overflowing_row_std_is_a_numeric_error_naming_the_row(self):
+        cache = rows([1.0, 0.0, -1.0], [1e300, -1e300, 0.0], [2e300, 0.0, -2e300])
+        with pytest.raises(NumericError, match=r"^row 1 has a logit std that is not finite: inf$"):
+            summarize(cache)
+
 
 class TestRuleParsing:
     @pytest.mark.parametrize(
