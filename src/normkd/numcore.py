@@ -21,8 +21,8 @@ backward time and get the bits it would have got in the forward.
 Conventions that matter for reproducibility:
 
 * all values are float64; inputs are validated/coerced at the boundary;
-* ``maximum(x, c)`` passes gradient only where ``x > c``, so
-  ``maximum(x, 0.0)``, a ReLU, has subgradient 0 at exactly 0;
+* ``maximum(x, c)`` passes gradient only where ``x > c``, so a
+  statistic that sits exactly at its floor ``c`` has subgradient 0;
 * row max/min route gradient to the first extremal index (numpy argmax
   order), which is the measure-zero tie convention;
 * the backward pass walks nodes in reverse creation order, running once
