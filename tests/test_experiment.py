@@ -460,7 +460,9 @@ class TestAnalyze:
         logits = finite.logits.copy()
         logits[2] = [1e300, -1e300, 0.0]
         caches = [finite, with_logits(finite, logits)]
-        with pytest.raises(NumericError, match=r"^row 2 has a logit std that is not finite: inf$"):
+        with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=r"^row 2 has a logit std that is not finite: inf$"
+        ):
             analyze(*(caches if side == "student" else caches[::-1]))
 
     def test_write_analysis_files(self, tmp_path):
