@@ -310,7 +310,9 @@ def normkd_loss(student_logits, teacher_logits, t_norm: float = DEFAULT_T_NORM) 
     """
     rule = NormStd(t_norm)
     z_s, z_t = _check_pair(student_logits, teacher_logits)
-    kld, weights = _rule_kld(rule, student_logits, teacher_side(rule, z_t), True, False)
+    kld, weights = _rule_kld(
+        rule, student_logits, teacher_side(rule, z_t), corrected=True, detach=False
+    )
     return _report(kld, 0.0, kld, weights, z_s.shape[0])
 
 
