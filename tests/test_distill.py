@@ -344,17 +344,6 @@ class TestNormKdLoss:
 
         assert np.max(np.abs(grad_of(False) - grad_of(True))) > 1e-8
 
-    def test_is_distill_loss_kld_part_at_alpha_zero_beta_one(self):
-        rng = np.random.default_rng(44)
-        for t_norm in (0.5, 2.0):
-            for n, c in ((1, 2), (4, 5)):
-                z_s, z_t = rng.normal(0, 2, size=(2, n, c))
-                rep = normkd_loss(z_s, z_t, t_norm)
-                ref = distill_loss(NormStd(t_norm), z_s, z_t, np.zeros(n, int), 0.0, 1.0)
-                assert np.float64(rep.total).tobytes() == np.float64(ref.kld_part).tobytes()
-                assert rep.per_sample_weight.tobytes() == ref.per_sample_weight.tobytes()
-                assert rep.ce_part == 0.0 and rep.kld_part == rep.total
-
 
 class TestRuleParameterChecks:
     """The wrappers leave parameter checks to the rule, ahead of any shape check."""
@@ -406,6 +395,14 @@ class TestDistillLossDispatch:
         np.testing.assert_allclose(
             rep.total, 0.1 * rep.ce_part + 0.9 * rep.kld_part, rtol=1e-14
         )
+        for t_norm in (0.5, 2.0):
+            for n, c in ((1, 2), (4, 5)):
+                z_s, z_t = rng.normal(0, 2, size=(2, n, c))
+                rep = normkd_loss(z_s, z_t, t_norm)
+                ref = distill_loss(NormStd(t_norm), z_s, z_t, np.zeros(n, int), 0.0, 1.0)
+                assert np.float64(rep.total).tobytes() == np.float64(ref.kld_part).tobytes()
+                assert rep.per_sample_weight.tobytes() == ref.per_sample_weight.tobytes()
+                assert rep.ce_part == 0.0 and rep.kld_part == rep.total
 
     def test_range_rule_uses_rule_temperature_for_weights(self):
         z_t = np.array([[3.0, -1.0, 0.0]])
