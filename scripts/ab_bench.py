@@ -6,11 +6,11 @@
 Run it from a normkd checkout.  Each run gets a new directory, a
 ``git archive`` export of its side's revision, removed after the run.  Pair
 i runs parent first when i is even and change first when it is odd, both
-sides with seed ``--seed + i`` and with export directories whose names are
+sides with seed 100 + i and with export directories whose names are
 8 + i characters long: big_cache's heap mode follows the name length, so
 the pairs sample it, the same for both sides.  Each run is
-``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-with its export as the working directory; the child's minor page faults
+``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``,
+T being ``BENCHMARK.json``'s ``run_seconds``, with its export as the working directory; the child's minor page faults
 (``ru_minflt``), peak RSS (``ru_maxrss``) and CPU times come from
 ``os.wait4``, and its result is the last line of its standard output.
 
@@ -145,18 +145,17 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, metavar="REV")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--seed", type=int, default=100, help="pair i runs seed SEED + i")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, required=True, help="the BENCH json to write")
     args = parser.parse_args(argv)
+    seconds = spec["run_seconds"]
     revs = {side: _git("rev-parse", f"{rev}^{{commit}}").decode().strip()
             for side, rev in (("parent", args.parent), ("change", args.change))}
     trees = {side: _git("archive", "--format=tar", sha) for side, sha in revs.items()}
     report = {
-        "benchmark": f"perfbench/run.py --workload <w> --seed <seed> --seconds {args.seconds:g} "
+        "benchmark": f"perfbench/run.py --workload <w> --seed <seed> --seconds {seconds:g} "
                      "--trace 0",
         "parent": revs["parent"], "change": revs["change"],
-        "pairs": f"{args.pairs} per workload; pair i runs seed {args.seed} + i, parent first "
+        "pairs": f"{args.pairs} per workload; pair i runs seed 100 + i, parent first "
                  "when i is even, in new git archive exports named with 8 + i characters",
         "environment": environment(), "summary": {}, "runs": [],
     }
@@ -166,10 +165,8 @@ def main(argv=None) -> int:
                 sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 for side in sides:
                     name = side[0] + "x" * (7 + i)
-                    run = run_once(trees[side], Path(tmp), name, workload, args.seed + i,
-                                   args.seconds)
-                    run = {"workload": workload, "pair": i, "side": side, "seed": args.seed + i,
-                           **run}
+                    run = run_once(trees[side], Path(tmp), name, workload, 100 + i, seconds)
+                    run = {"workload": workload, "pair": i, "side": side, "seed": 100 + i, **run}
                     report["runs"].append(run)
                     report["summary"] = summarize(report["runs"], spec)
                     args.out.write_text(json.dumps(report, indent=1) + "\n")
