@@ -13,8 +13,10 @@ the same grid, with the cell's ``teacher_side`` and with no teacher, at
 alpha 0.1 and beta 0.9.  It also covers a short teacher training and a
 student training per rule: parameters, history and logit caches; a depth-3
 run at batch 7; for ``multiset:1,2,4`` and ``maxval:1.0``, a run whose
-every epoch ends on a one-row batch; and runs of ``multiset:4``, the eight
-temperatures 1 to 8, and ``range:1.0`` with a detached student statistic.
+every epoch ends on a one-row batch; runs of ``multiset:4``, the eight
+temperatures 1 to 8, and ``range:1.0`` with a detached student statistic;
+and, in one part, runs with the teacher cache at 0 and 2 epochs under every
+rule of the loss grid and under none, at beta 0 and 0.9.
 Then come ``cache_teacher_logits`` and ``evaluate`` at the perfbench
 big_cache widths (32-64-100 and 32-16-100) on 16,384 rows; one part for
 the paper-named wrappers on three rows of each row kind at every class
@@ -237,7 +239,19 @@ def trainings(d: Digest) -> int:
         params, history = train(MlpSpec((6, 5, 4), init_seed=4), config, train_ds, cache, val_ds)
         d.part(f"train {spec} detach={detach}")
         d.add(spec, detach, *(a for wb in params for a in wb), repr(history))
-    return 5 + 2 * len(TRAIN_RULES) + len(EXTRA_TRAININGS)
+    # with the cache: no epoch and two, under every digest rule and none, at beta 0 and 0.9
+    d.part("train with a cache at epochs 0 and 2, every rule and none, beta 0 and 0.9")
+    edges = list(itertools.product((0, 2), (None, *RULES), (0.0, 0.9)))
+    for epochs, spec, beta in edges:
+        config = replace(recipe, epochs=epochs, lr_decay_epochs=(),
+                         rule=parse_rule(spec) if spec else None, beta=beta)
+        d.add(epochs, spec, beta)
+        try:
+            params, history = train(MlpSpec((6, 5, 4), init_seed=5), config, train_ds, cache, val_ds)
+            d.add(*(a for wb in params for a in wb), repr(history))
+        except Exception as exc:  # a raising run is part of the behaviour digested
+            d.add(type(exc).__name__, str(exc))
+    return 5 + 2 * len(TRAIN_RULES) + len(EXTRA_TRAININGS) + len(edges)
 
 
 BIG_WIDTHS = ((32, 64, 100), (32, 16, 100))
