@@ -280,22 +280,17 @@ def train(
     if val_data is not None and val_data.n_samples == 0:
         raise ContractError("validation dataset is empty")
     _check_widths(spec, train_data)
-    teacher = None
+    teacher = None  # alpha-scaled cross entropy alone, unless the recipe distills from a cache
     if teacher_logits is not None:
-        teacher = _teacher_matrix(teacher_logits, train_data)
+        z_t = _teacher_matrix(teacher_logits, train_data)
+        if config.rule is not None and config.beta != 0.0:  # built once per run, indexed per batch
+            teacher = teacher_side(config.rule, z_t, config.std_corrected)
 
     init = init_mlp(spec)
     flat_p = np.concatenate([a.reshape(-1) for wb in init for a in wb])
     flat_g, flat_v = np.zeros_like(flat_p), np.zeros_like(flat_p)
     params, grads = _views(flat_p, init), _views(flat_g, init)
     history: TrainHistory = []
-    if config.epochs == 0:
-        return init, history
-    if config.beta == 0.0 or config.rule is None:  # alpha-scaled cross entropy alone
-        teacher = None
-    elif teacher is not None:  # constant and row by row: built once per run, indexed per batch
-        teacher = teacher_side(config.rule, teacher, config.std_corrected)
-
     lr = config.learning_rate
     x_all, y_all = train_data.features, train_data.labels
 
