@@ -312,10 +312,7 @@ def _run_seeds(cfg: ExperimentConfig, layers, recipe: TrainConfig, role, history
     # every model is checked against both splits before the first one trains
     for widths in (layers, cfg.teacher_layers) if own_teacher else (layers,):
         _check_widths(MlpSpec(widths), train_ds)
-        try:
-            _check_widths(MlpSpec(widths), val_ds)
-        except ContractError as exc:
-            raise ContractError(f"{cfg.val_data}: {exc}") from None
+        _check_widths(MlpSpec(widths), val_ds, f"{cfg.val_data}: ")
     rows: list[tuple[str, str, str, str]] = []
     for seed in cfg.seeds:
         with _seed_dir(cfg.output_dir, seed) as seed_dir:

@@ -196,13 +196,14 @@ def _teacher_matrix(cache: LogitCache, data: Dataset) -> np.ndarray:
     return cache.logits
 
 
-def _check_widths(spec: MlpSpec, data: Dataset) -> None:
-    """A spec whose input or class width is not the dataset's is a ContractError."""
-    widths = spec.layer_widths
-    if widths[0] != data.num_features:
-        raise ContractError(f"spec input width {widths[0]} != dataset features {data.num_features}")
-    if widths[-1] != data.num_classes:
-        raise ContractError(f"spec class width {widths[-1]} != dataset classes {data.num_classes}")
+def _check_widths(spec: MlpSpec, data: Dataset, where: str = "") -> None:
+    """A spec whose input or class width is not the dataset's is a ContractError,
+    its message prefixed with ``where``."""
+    widths, features, classes = spec.layer_widths, data.num_features, data.num_classes
+    if widths[0] != features:
+        raise ContractError(f"{where}spec input width {widths[0]} != dataset features {features}")
+    if widths[-1] != classes:
+        raise ContractError(f"{where}spec class width {widths[-1]} != dataset classes {classes}")
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -272,14 +273,16 @@ def train(
     History records ce/kld/total/top1 per epoch for the train split and,
     when ``val_data`` is given, the validation split; validation rows
     report plain cross entropy (kld 0), since teacher logits are cached
-    for training samples only.  An empty training or validation split is a
-    ContractError, raised before any step.
+    for training samples only.  An empty training or validation split, or one
+    whose widths do not fit ``spec``, is a ContractError, raised before any step.
     """
     if train_data.n_samples == 0:
         raise ContractError("training dataset is empty")
     if val_data is not None and val_data.n_samples == 0:
         raise ContractError("validation dataset is empty")
     _check_widths(spec, train_data)
+    if val_data is not None:
+        _check_widths(spec, val_data, "validation dataset: ")
     teacher = None  # alpha-scaled cross entropy alone, unless the recipe distills from a cache
     if teacher_logits is not None:
         z_t = _teacher_matrix(teacher_logits, train_data)

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from normkd import trainer
 from normkd.datasets import Dataset, make_blobs
 from normkd.errors import ConfigError, ContractError, DimensionError
 from normkd.logitstats import Fixed, LogitCache, NormStd
@@ -323,6 +324,22 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, lr_decay_epochs=())
         with pytest.raises(ContractError, match="^validation dataset is empty$"):
             train(MlpSpec((4, 3, 3)), cfg, train_ds, None, val_ds)
+
+    @pytest.mark.parametrize(
+        "dim,classes,message",
+        [(7, 4, "spec input width 6 != dataset features 7"),
+         (6, 5, "spec class width 4 != dataset classes 5"),
+         (6, 3, "spec class width 4 != dataset classes 3")],
+    )
+    def test_val_split_that_does_not_fit_rejected_before_any_step(
+        self, monkeypatch, dim, classes, message
+    ):
+        train_ds, _ = make_blobs(4, 6, 10, 3.0, 0)
+        _, val_ds = make_blobs(classes, dim, 10, 3.0, 1)
+        monkeypatch.setattr(trainer, "_step_grads", lambda *args: pytest.fail("a step ran"))
+        cfg = TrainConfig(epochs=3, lr_decay_epochs=())
+        with pytest.raises(ContractError, match=f"^validation dataset: {re.escape(message)}$"):
+            train(MlpSpec((6, 8, 4)), cfg, train_ds, None, val_ds)
 
 
 class TestEvaluate:
