@@ -495,11 +495,9 @@ def _loss_instance(name: str, rng: np.random.Generator):
     elif name in ("maxval", "range"):
         rule = (MaxVal if name == "maxval" else Range)(float(rng.uniform(0.5, 3.0)))
         terms = [(1.0, rule, 0.2, 0.8)]
-    elif name == "combine":
+    else:  # combine
         kd, norm = Fixed(float(rng.uniform(1.0, 5.0))), NormStd(float(rng.uniform(0.5, 3.0)))
         terms = [(0.6, norm, 0.0, 1.0), (0.4, kd, 0.0, 1.0)]
-    else:
-        raise ContractError(f"unknown loss {name!r}")
     return z_s, labels, [(w, rule, teacher_side(rule, z_t), a, b) for w, rule, a, b in terms]
 
 
