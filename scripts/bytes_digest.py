@@ -28,7 +28,15 @@ and ``write_analysis`` (every array of the result and the bytes of both
 files, written to a temporary directory) on 2 * 16,384 + 3 rows, twice
 ``analyze``'s block of 16,384 plus three: the two big_cache-width nets'
 caches, and a C = 2 and a C = 3 pair with constant rows (the C = 3 pair
-has a class with no samples); and
+has a class with no samples); three parts for NKDL logit-cache files: the
+bytes written and the arrays read back at N in 1, 3 and 16,387 (and a
+header-only N = 0 file, read only) by C in 1, 2 and 100, with float32 edge
+logits (the float32 maximum, the largest float64 that rounds to it, -0.0,
+subnormals and round-half ties), every write error (empty, a sample id
+outside u32, a logit beyond float32 at several rows) and every read error
+(a missing file, a directory, each short header, bad magic, version or
+class count, a body a byte short or long, a bad label, a non-finite
+record and a header that claims 2**32-1 records of 2**32-1 classes); and
 ``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
 default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
 instances=5`` for each of the audit's losses.  Last come
@@ -374,6 +382,118 @@ def analyses(d: Digest) -> int:
     return len(pairs)
 
 
+CACHE_SIZES = (1, 3, 16387)
+CACHE_CLASSES = (1, 2, 100)
+_F32_MAX = float(np.finfo(np.float32).max)
+_F32_LAST = float(np.nextafter(_F32_MAX + 2.0**103, 0.0))  # the largest float64 that rounds to it
+CACHE_EDGES = (
+    _F32_MAX, -_F32_MAX, _F32_LAST, -_F32_LAST, -0.0,
+    2.0**-149, -2.0**-149, 2.0**-127, 2.0**-150, 3 * 2.0**-150, 2.0**-151,  # subnormals and ties
+    1.0 + 2.0**-24, 1.0 + 3 * 2.0**-24, -(1.0 + 2.0**-24), 2.0**24 + 1.0,  # round-half ties
+)
+_HEADER = struct.Struct("<4sIII")
+
+
+def _read_cache(d: Digest, path: Path, tmp: str) -> None:
+    """Add the arrays ``read_logit_cache`` returns, or its error with ``tmp`` masked."""
+    from normkd.logitcache import read_logit_cache
+
+    try:
+        cache = read_logit_cache(path)
+        d.add(cache.sample_ids, cache.labels, cache.logits)
+    except Exception as exc:  # a raising read is part of the behaviour digested
+        d.add(type(exc).__name__, str(exc).replace(tmp, "<tmp>"))
+
+
+def cache_files(d: Digest) -> int:
+    """NKDL files: the bytes written and read back at every size and class count,
+    with float32 edge logits; then every write error and every read error."""
+    from normkd.logitcache import write_logit_cache
+    from normkd.logitstats import LogitCache
+
+    files = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        d.part("logit-cache files written and read")
+        for n, c in itertools.product((0, *CACHE_SIZES), CACHE_CLASSES):
+            path = work / f"{n}x{c}.nkdl"
+            if n == 0:  # a header-only file: the writer refuses an empty cache
+                path.write_bytes(_HEADER.pack(b"NKDL", 1, 0, c))
+            else:
+                rng = np.random.default_rng([n, c, 5])
+                logits = rng.normal(0.0, 2.0, size=(n, c))
+                k = min(len(CACHE_EDGES), logits.size)
+                logits.reshape(-1)[:k] = CACHE_EDGES[:k]
+                ids = rng.integers(0, 2**32, n)
+                ids[0], ids[-1] = 2**32 - 1, 0
+                write_logit_cache(path, LogitCache(ids, rng.integers(0, c, n), logits))
+            d.add(n, c, path.read_bytes())
+            _read_cache(d, path, tmp)
+            files += 1
+
+        d.part("logit-cache write errors")
+        base = np.random.default_rng(6).normal(0.0, 2.0, size=(5, 3))
+        caches = {"empty": LogitCache(np.zeros(0, np.int64), np.zeros(0, np.int64),
+                                      np.zeros((0, 3)))}
+        for k in (0, 2, 4):
+            for sample_id in (-1, 2**32):
+                ids = np.arange(5)
+                ids[k] = sample_id
+                caches[f"sample_id {sample_id} at row {k}"] = LogitCache(ids, np.zeros(5), base)
+            for value in (1e39, -1e39, 3.5e38):
+                logits = base.copy()
+                logits[k, 1] = value
+                caches[f"logit {value} at row {k}"] = LogitCache(np.arange(5), np.zeros(5), logits)
+        for name, cache in caches.items():
+            path = work / "refused.nkdl"
+            try:
+                write_logit_cache(path, cache)
+                d.add(name, "written", path.read_bytes())
+            except Exception as exc:  # a refused write is part of the behaviour digested
+                d.add(name, type(exc).__name__, str(exc).replace(tmp, "<tmp>"), path.exists())
+            files += 1
+
+        d.part("logit-cache read errors")
+        header = _HEADER.pack(b"NKDL", 1, 3, 4)
+        good = work / "3x4.nkdl"
+        write_logit_cache(good, LogitCache(np.arange(3), [0, 1, 3], np.eye(3, 4)))
+        body = good.read_bytes()[_HEADER.size:]
+        record = 8 + 4 * 4
+
+        def with_record1(label, logit):
+            data = bytearray(body)
+            struct.pack_into("<I", data, record + 4, label)
+            struct.pack_into("<f", data, record + 8 + 4, logit)
+            return header + bytes(data)
+
+        contents = {f"header of {k} bytes": header[:k] for k in range(_HEADER.size)}
+        contents.update({
+            "bad magic": b"NKDX" + header[4:] + body,
+            "bad version": _HEADER.pack(b"NKDL", 2, 3, 4) + body,
+            "zero classes": _HEADER.pack(b"NKDL", 1, 3, 0),
+            "body one byte short": header + body[:-1],
+            "body one byte long": header + body + b"\x00",
+            "label 4 in record 1": with_record1(4, 0.0),
+            "nan in record 1": with_record1(1, float("nan")),
+            "inf in record 1": with_record1(1, float("inf")),
+            "-inf in record 1": with_record1(1, float("-inf")),
+            "(2**32-1) x (2**32-1) claimed": _HEADER.pack(b"NKDL", 1, 2**32 - 1, 2**32 - 1),
+        })
+        (work / "a directory.nkdl").mkdir()
+        d.add("missing")
+        _read_cache(d, work / "missing.nkdl", tmp)
+        d.add("a directory")
+        _read_cache(d, work / "a directory.nkdl", tmp)
+        files += 2
+        for name, data in contents.items():
+            path = work / "case.nkdl"
+            path.write_bytes(data)
+            d.add(name, data)
+            _read_cache(d, path, tmp)
+            files += 1
+    return files
+
+
 def grad_checks(d: Digest) -> int:
     from normkd import gradient_check_suite
 
@@ -601,7 +721,7 @@ def main(argv=None) -> int:
     else:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
                    f"{big_forwards(d)} large-batch forwards, {wrappers(d)} wrapper rows, "
-                   f"{analyses(d)} analyses, "
+                   f"{analyses(d)} analyses, {cache_files(d)} cache-file cases, "
                    f"{grad_checks(d)} grad-check calls, "
                    f"{grad_check_errors(d)} grad_check errors")
     if args.each:
