@@ -10,11 +10,14 @@ Little-endian layout, independent of host byte order:
 
 Total size is exactly 16 + N*(8 + 4*C) bytes.  Logits are stored as
 float32 (the serialization boundary); reading widens them to float64
-exactly, so write-read-write reproduces the file byte for byte.
+exactly, so write-read-write reproduces the file byte for byte.  A write
+and a read each move the records through one numpy record array: no
+whole-file or whole-matrix copy is made on either side.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -46,32 +49,29 @@ def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
         raise ContractError(
             f"{path}: record {i} has sample_id {cache.sample_ids[i]}, outside [0, 2**32)"
         )
-    with np.errstate(over="ignore"):
-        narrowed = cache.logits.astype("<f4")
-    overflow = ~np.isfinite(narrowed).all(axis=1)
-    if overflow.any():
-        i = int(overflow.argmax())
-        raise NumericError(f"{path}: record {i} has logits outside the float32 range")
-    n, c = narrowed.shape
+    n, c = cache.logits.shape
     body = np.empty(n, dtype=_record_dtype(c))
     body["sample_id"] = cache.sample_ids
     body["label"] = cache.labels
-    body["logits"] = narrowed
-    atomic_write_bytes(path, _HEADER.pack(MAGIC, VERSION, n, c) + body.tobytes())
+    with np.errstate(over="ignore"):
+        body["logits"] = cache.logits
+    overflow = ~np.isfinite(body["logits"]).all(axis=1)
+    if overflow.any():
+        i = int(overflow.argmax())
+        raise NumericError(f"{path}: record {i} has logits outside the float32 range")
+    atomic_write_bytes(path, _HEADER.pack(MAGIC, VERSION, n, c), memoryview(body).cast("B"))
 
 
-def read_logit_cache(path: Path | str) -> LogitCache:
-    """Read a cache; the first invalid record is named with its byte offset."""
-    path = Path(path)
-    try:
-        data = path.read_bytes()
-    except OSError as exc:
-        raise FileFormatError(f"cannot read cache {path}: {exc}") from exc
-    if len(data) < _HEADER.size:
+def _read_records(path: Path, fh) -> np.ndarray:
+    """``fh``'s records as one record array.  The header and the file's size
+    are checked first, so a header that claims more than the file holds
+    allocates nothing, and a short read returns no uninitialised rows."""
+    header = fh.read(_HEADER.size)
+    if len(header) < _HEADER.size:
         raise FileFormatError(
-            f"{path}: truncated header, expected {_HEADER.size} bytes, got {len(data)}"
+            f"{path}: truncated header, expected {_HEADER.size} bytes, got {len(header)}"
         )
-    magic, version, n, c = _HEADER.unpack_from(data)
+    magic, version, n, c = _HEADER.unpack(header)
     if magic != MAGIC:
         raise FileFormatError(f"{path}: bad magic {magic!r} at offset 0")
     if version != VERSION:
@@ -79,14 +79,27 @@ def read_logit_cache(path: Path | str) -> LogitCache:
     if c < 1:
         raise FileFormatError(f"{path}: class count must be positive, got {c}")
     expected = _HEADER.size + n * (8 + 4 * c)
-    if len(data) != expected:
-        raise FileFormatError(
-            f"{path}: expected {expected} bytes for {n} records of {c} classes, "
-            f"got {len(data)}"
-        )
-    raw = np.frombuffer(data, dtype=_record_dtype(c), count=n, offset=_HEADER.size)
+    size = os.fstat(fh.fileno()).st_size
+    if size == expected:
+        raw = np.empty(n, dtype=_record_dtype(c))
+        size = _HEADER.size + fh.readinto(memoryview(raw).cast("B"))
+        if size == expected:
+            return raw
+    raise FileFormatError(
+        f"{path}: expected {expected} bytes for {n} records of {c} classes, got {size}"
+    )
+
+
+def read_logit_cache(path: Path | str) -> LogitCache:
+    """Read a cache; the first invalid record is named with its byte offset."""
+    path = Path(path)
+    try:
+        with path.open("rb") as fh:
+            raw = _read_records(path, fh)
+    except OSError as exc:
+        raise FileFormatError(f"cannot read cache {path}: {exc}") from exc
     try:
         return LogitCache(raw["sample_id"], raw["label"], raw["logits"])
     except ContractError as exc:
-        offset = _HEADER.size + exc.row * (8 + 4 * c)
+        offset = _HEADER.size + exc.row * raw.itemsize
         raise FileFormatError(f"{path}: bad record {exc.row} at offset {offset}: {exc}") from exc

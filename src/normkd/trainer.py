@@ -135,14 +135,17 @@ def init_mlp(spec: MlpSpec) -> Params:
 
 def _layers(params: Params, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
     """The MLP's logits and each layer's input: ``h @ w + b`` per layer,
-    ``np.maximum(h, 0.0)`` between layers and none after the last."""
+    ``np.maximum(h, 0.0)`` between layers and none after the last.  Each
+    layer's ``+ b`` and ReLU write into its ``h @ w``: the same ufuncs, so
+    the same bytes, without two whole-matrix temporaries."""
     inputs = []
     h = x
     for w, b in params:
         if inputs:
-            h = np.maximum(h, 0.0)
+            np.maximum(h, 0.0, out=h)
         inputs.append(h)
-        h = h @ w + b
+        h = h @ w
+        h += b
     return h, inputs
 
 
