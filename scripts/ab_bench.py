@@ -15,10 +15,11 @@ T being ``BENCHMARK.json``'s ``run_seconds``, with its export as the working dir
 ``os.wait4``, and its result is the last line of its standard output.
 
 The output holds every run (its result line, fault count and directory),
-then per workload and end-to-end metric the medians and quartiles of both
-sides, the parent's IQR, in how many pairs the change was better, and how
-much worse its median is than the parent's against ``BENCHMARK.json``'s
-bound.  It also records the checks failed per side, both revisions' shas,
+then per workload each side's fault counts, pair by pair and as a median
+and quartiles (the count names a run's heap mode), and per end-to-end
+metric the medians and quartiles of both sides, the parent's IQR, in how
+many pairs the change was better, and how much worse its median is than
+the parent's against ``BENCHMARK.json``'s bound.  It also records the checks failed per side, both revisions' shas,
 numpy, ``nproc``, glibc and the transparent-hugepage setting.  The file is
 rewritten after every run, so a stopped measurement keeps what it ran.
 The metrics come from this checkout's ``BENCHMARK.json``.
@@ -98,6 +99,13 @@ def run_once(tree: bytes, base: Path, name: str, workload: str, seed: int, secon
     return run
 
 
+def _quartiles(values: list) -> list:
+    """The first and third quartiles, inclusive; both are the value of a single run."""
+    if len(values) == 1:
+        return [values[0], values[0]]
+    return statistics.quantiles(values, n=4, method="inclusive")[::2]
+
+
 def summarize(runs: list[dict], spec: dict) -> dict:
     """Per workload and end-to-end metric: medians, quartiles, wins and the bound check."""
     summary = {}
@@ -114,14 +122,15 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             results = [p[side]["result"] for p in pairs]
             out[f"{side}_checks_failed"] = (f"{sum(r['failed'] for r in results)} of "
                                             f"{sum(r['attempted'] for r in results)}")
-            out[f"{side}_minflt"] = [p[side]["minflt"] for p in pairs]
+            minflt = out[f"{side}_minflt"] = [p[side]["minflt"] for p in pairs]
+            out[f"{side}_minflt_median"] = statistics.median(minflt)
+            out[f"{side}_minflt_quartiles"] = _quartiles(minflt)
         for metric in spec["end_to_end"]:
             name, lower = metric["name"], metric["better"] == "lower"
             values = {side: [p[side]["result"]["metrics"][name]["value"] for p in pairs]
                       for side in ("parent", "change")}
             median = {side: statistics.median(v) for side, v in values.items()}
-            quartiles = {side: statistics.quantiles(v, n=4, method="inclusive")[::2]
-                         if len(v) > 1 else [v[0], v[0]] for side, v in values.items()}
+            quartiles = {side: _quartiles(v) for side, v in values.items()}
             ratio = median["change"] / median["parent"] if median["parent"] else float("nan")
             wins = sum((c < p) if lower else (c > p)
                        for p, c in zip(values["parent"], values["change"]))

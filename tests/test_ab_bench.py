@@ -52,6 +52,8 @@ def test_summary_per_metric(ab_bench):
     assert out["change_checks_failed"] == "5 of 15"
     assert out["parent_minflt"] == [1, 2, 3, 4, 5]
     assert out["change_minflt"] == [6, 7, 8, 9, 10]
+    assert (out["parent_minflt_median"], out["parent_minflt_quartiles"]) == (3, [2, 4])
+    assert (out["change_minflt_median"], out["change_minflt_quartiles"]) == (8, [7, 9])
     assert out["wall_s"] == {
         "parent_median": 12, "change_median": 16, "change_over_parent": 1.3333,
         "parent_quartiles": [11, 13], "change_quartiles": [15, 17], "parent_iqr": 2,

@@ -1,13 +1,18 @@
 """Dataset text files and binary logit caches: round-trips and coded errors."""
 
+import errno
+import os
 import re
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from normkd.datasets import Dataset, make_blobs, read_dataset, write_dataset
 from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
+from normkd.ioutil import atomic_write_bytes
 from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import LogitCache
 
@@ -279,3 +284,106 @@ class TestLogitCacheBoundaries:
         np.testing.assert_array_equal(cache.sample_ids, np.arange(4))
         assert cache.sample_ids.dtype == cache.labels.dtype == np.int64
         assert cache.logits.dtype == np.float64 and cache.logits.shape == (4, 3)
+
+
+class TestLogitCacheReadEdges:
+    def test_short_read_names_the_bytes_present(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.nkdl"
+        write_logit_cache(path, random_cache(np.random.default_rng(3), n=3, c=4))
+        data = path.read_bytes()
+        path.write_bytes(data[:-5])
+        # the size check passes, so the short count comes from readinto itself
+        monkeypatch.setattr("normkd.logitcache.os.fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+        message = f"expected {len(data)} bytes for 3 records of 4 classes, got {len(data) - 5}$"
+        with pytest.raises(FileFormatError, match=message):
+            read_logit_cache(path)
+
+    def test_header_only_file_is_an_empty_cache(self, tmp_path):
+        path = tmp_path / "empty.nkdl"
+        path.write_bytes(struct.pack("<4sIII", b"NKDL", 1, 0, 3))
+        cache = read_logit_cache(path)
+        assert len(cache) == 0 and cache.num_classes == 3
+        assert cache.sample_ids.dtype == cache.labels.dtype == np.int64
+        assert cache.logits.dtype == np.float64 and cache.logits.shape == (0, 3)
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(FileFormatError, match=re.escape(f"cannot read cache {tmp_path}: ")):
+            read_logit_cache(tmp_path)
+
+    def test_huge_claimed_size_fails_before_allocating(self, tmp_path):
+        path = tmp_path / "huge.nkdl"
+        path.write_bytes(struct.pack("<4sIII", b"NKDL", 1, 2**32 - 1, 2**32 - 1))
+        expected = 16 + (2**32 - 1) * (8 + 4 * (2**32 - 1))
+        with pytest.raises(FileFormatError, match=f"expected {expected} bytes .* got 16$"):
+            read_logit_cache(path)
+
+
+def _traced_peak(call):
+    """``call()``'s result and the peak bytes that tracemalloc saw allocated during it."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+class TestLogitCacheMemory:
+    """A write and a read each hold one record array, with no whole-file copy."""
+
+    N, C = 4096, 100
+    RECORD_BYTES = N * (8 + 4 * C)
+
+    def test_write_peak_is_one_record_array(self, tmp_path):
+        cache = random_cache(np.random.default_rng(4), n=self.N, c=self.C)
+        _, peak = _traced_peak(lambda: write_logit_cache(tmp_path / "c.nkdl", cache))
+        assert peak < 1.3 * self.RECORD_BYTES
+
+    def test_read_peak_is_one_record_array_and_the_cache(self, tmp_path):
+        path = tmp_path / "c.nkdl"
+        write_logit_cache(path, random_cache(np.random.default_rng(4), n=self.N, c=self.C))
+        cache, peak = _traced_peak(lambda: read_logit_cache(path))
+        held = cache.sample_ids.nbytes + cache.labels.nbytes + cache.logits.nbytes
+        # slack: LogitCache's (N, C) finiteness mask, and 64 KiB for small objects
+        assert peak <= self.RECORD_BYTES + held + self.N * self.C + 2**16
+
+
+class _FullDisk:
+    """A binary file whose second write fails with ENOSPC."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.fh.write(data)
+
+
+class TestAtomicWriteChunks:
+    def test_chunks_land_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        tail = memoryview(np.arange(3, dtype="<u2")).cast("B")
+        atomic_write_bytes(path, b"ab", memoryview(b"cd"), b"", tail)
+        assert path.read_bytes() == b"abcd\x00\x00\x01\x00\x02\x00"
+
+    def test_failed_second_chunk_leaves_no_file(self, tmp_path, monkeypatch):
+        fdopen = os.fdopen
+        monkeypatch.setattr("normkd.ioutil.os.fdopen", lambda fd, mode: _FullDisk(fdopen(fd, mode)))
+        path = tmp_path / "out.bin"
+        with pytest.raises(OSError) as info:
+            atomic_write_bytes(path, b"header", b"body")
+        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
+        assert list(tmp_path.iterdir()) == []
