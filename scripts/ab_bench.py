@@ -19,8 +19,9 @@ then per workload each side's fault counts, pair by pair and as a median
 and quartiles (the count names a run's heap mode), and per end-to-end
 metric the medians and quartiles of both sides, the parent's IQR, in how
 many pairs the change was better, and how much worse its median is than
-the parent's against ``BENCHMARK.json``'s bound.  It also records the checks failed per side, both revisions' shas,
-numpy, ``nproc``, glibc and the transparent-hugepage setting.  The file is
+the parent's against ``BENCHMARK.json``'s bound.  It also records the
+checks failed per side, both revisions' shas, numpy, ``nproc``, glibc and
+the transparent-hugepage setting.  The file is
 rewritten after every run, so a stopped measurement keeps what it ran.
 The metrics come from this checkout's ``BENCHMARK.json``.
 """

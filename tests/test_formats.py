@@ -293,7 +293,8 @@ class TestLogitCacheReadEdges:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         # the size check passes, so the short count comes from readinto itself
-        monkeypatch.setattr("normkd.logitcache.os.fstat", lambda fd: SimpleNamespace(st_size=len(data)))
+        size = SimpleNamespace(st_size=len(data))
+        monkeypatch.setattr("normkd.logitcache.os.fstat", lambda fd: size)
         message = f"expected {len(data)} bytes for 3 records of 4 classes, got {len(data) - 5}$"
         with pytest.raises(FileFormatError, match=message):
             read_logit_cache(path)
