@@ -7,16 +7,14 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_bytes(path: Path | str, *chunks: bytes) -> None:
-    """Write ``chunks`` in order to ``path``, whole or not at all; an ``OSError``
-    names ``path``."""
+def atomic_write_bytes(path: Path | str, data: bytes) -> None:
+    """Write ``data`` to ``path`` whole or not at all; an ``OSError`` names ``path``."""
     path = Path(path)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):

@@ -18,6 +18,7 @@ whole-file or whole-matrix copy is made on either side.
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from pathlib import Path
 
@@ -50,7 +51,9 @@ def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
             f"{path}: record {i} has sample_id {cache.sample_ids[i]}, outside [0, 2**32)"
         )
     n, c = cache.logits.shape
-    body = np.empty(n, dtype=_record_dtype(c))
+    data = np.empty(_HEADER.size + n * (8 + 4 * c), dtype=np.uint8)
+    _HEADER.pack_into(data, 0, MAGIC, VERSION, n, c)
+    body = np.ndarray(n, dtype=_record_dtype(c), buffer=data, offset=_HEADER.size)
     body["sample_id"] = cache.sample_ids
     body["label"] = cache.labels
     with np.errstate(over="ignore"):
@@ -59,13 +62,14 @@ def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
     if overflow.any():
         i = int(overflow.argmax())
         raise NumericError(f"{path}: record {i} has logits outside the float32 range")
-    atomic_write_bytes(path, _HEADER.pack(MAGIC, VERSION, n, c), memoryview(body).cast("B"))
+    atomic_write_bytes(path, data)
 
 
 def _read_records(path: Path, fh) -> np.ndarray:
-    """``fh``'s records as one record array.  The header and the file's size
-    are checked first, so a header that claims more than the file holds
-    allocates nothing, and a short read returns no uninitialised rows."""
+    """``fh``'s records as one record array.  The header and a regular file's
+    size are checked first, so a header that claims more than the file holds
+    allocates nothing, and a short read returns no uninitialised rows.  A
+    pipe or other stream is read to its end, then checked the same way."""
     header = fh.read(_HEADER.size)
     if len(header) < _HEADER.size:
         raise FileFormatError(
@@ -79,12 +83,19 @@ def _read_records(path: Path, fh) -> np.ndarray:
     if c < 1:
         raise FileFormatError(f"{path}: class count must be positive, got {c}")
     expected = _HEADER.size + n * (8 + 4 * c)
-    size = os.fstat(fh.fileno()).st_size
-    if size == expected:
-        raw = np.empty(n, dtype=_record_dtype(c))
-        size = _HEADER.size + fh.readinto(memoryview(raw).cast("B"))
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):  # a pipe's size is known only at its end
+        rest = fh.read()
+        size = _HEADER.size + len(rest)
         if size == expected:
-            return raw
+            return np.frombuffer(rest, dtype=_record_dtype(c))
+    else:
+        size = info.st_size
+        if size == expected:
+            raw = np.empty(n, dtype=_record_dtype(c))
+            size = _HEADER.size + fh.readinto(memoryview(raw).cast("B"))
+            if size == expected:
+                return raw
     raise FileFormatError(
         f"{path}: expected {expected} bytes for {n} records of {c} classes, got {size}"
     )

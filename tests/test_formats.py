@@ -1,9 +1,10 @@
 """Dataset text files and binary logit caches: round-trips and coded errors."""
 
-import errno
 import os
 import re
+import stat
 import struct
+import threading
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,7 +13,6 @@ import pytest
 
 from normkd.datasets import Dataset, make_blobs, read_dataset, write_dataset
 from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
-from normkd.ioutil import atomic_write_bytes
 from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import LogitCache
 
@@ -293,11 +293,39 @@ class TestLogitCacheReadEdges:
         data = path.read_bytes()
         path.write_bytes(data[:-5])
         # the size check passes, so the short count comes from readinto itself
-        size = SimpleNamespace(st_size=len(data))
+        size = SimpleNamespace(st_mode=stat.S_IFREG, st_size=len(data))
         monkeypatch.setattr("normkd.logitcache.os.fstat", lambda fd: size)
         message = f"expected {len(data)} bytes for 3 records of 4 classes, got {len(data) - 5}$"
         with pytest.raises(FileFormatError, match=message):
             read_logit_cache(path)
+
+    @staticmethod
+    def _read_through_fifo(tmp_path, data):
+        path = tmp_path / "cache.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        try:
+            return read_logit_cache(path)
+        finally:
+            writer.join()
+
+    def test_fifo_reads_like_a_file(self, tmp_path):
+        path = tmp_path / "cache.nkdl"
+        write_logit_cache(path, random_cache(np.random.default_rng(5), n=3, c=4))
+        want = read_logit_cache(path)
+        got = self._read_through_fifo(tmp_path, path.read_bytes())
+        np.testing.assert_array_equal(got.sample_ids, want.sample_ids)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.logits, want.logits)
+
+    def test_fifo_size_error_counts_the_stream(self, tmp_path):
+        path = tmp_path / "cache.nkdl"
+        write_logit_cache(path, random_cache(np.random.default_rng(5), n=3, c=4))
+        data = path.read_bytes()
+        message = f"expected {len(data)} bytes for 3 records of 4 classes, got {len(data) - 1}$"
+        with pytest.raises(FileFormatError, match=message):
+            self._read_through_fifo(tmp_path, data[:-1])
 
     def test_header_only_file_is_an_empty_cache(self, tmp_path):
         path = tmp_path / "empty.nkdl"
@@ -353,38 +381,3 @@ class TestLogitCacheMemory:
         # slack: LogitCache's (N, C) finiteness mask, and 64 KiB for small objects
         assert peak <= self.RECORD_BYTES + held + self.N * self.C + 2**16
 
-
-class _FullDisk:
-    """A binary file whose second write fails with ENOSPC."""
-
-    def __init__(self, fh):
-        self.fh, self.writes = fh, 0
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.writes += 1
-        if self.writes == 2:
-            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return self.fh.write(data)
-
-
-class TestAtomicWriteChunks:
-    def test_chunks_land_in_order(self, tmp_path):
-        path = tmp_path / "out.bin"
-        tail = memoryview(np.arange(3, dtype="<u2")).cast("B")
-        atomic_write_bytes(path, b"ab", memoryview(b"cd"), b"", tail)
-        assert path.read_bytes() == b"abcd\x00\x00\x01\x00\x02\x00"
-
-    def test_failed_second_chunk_leaves_no_file(self, tmp_path, monkeypatch):
-        fdopen = os.fdopen
-        monkeypatch.setattr("normkd.ioutil.os.fdopen", lambda fd, mode: _FullDisk(fdopen(fd, mode)))
-        path = tmp_path / "out.bin"
-        with pytest.raises(OSError) as info:
-            atomic_write_bytes(path, b"header", b"body")
-        assert (info.value.errno, info.value.filename) == (errno.ENOSPC, str(path))
-        assert list(tmp_path.iterdir()) == []
