@@ -28,7 +28,9 @@ and ``write_analysis`` (every array of the result and the bytes of both
 files, written to a temporary directory) on 2 * 16,384 + 3 rows, twice
 ``analyze``'s block of 16,384 plus three: the two big_cache-width nets'
 caches, and a C = 2 and a C = 3 pair with constant rows (the C = 3 pair
-has a class with no samples); three parts for NKDL logit-cache files: the
+has a class with no samples); then the same on 16,387 rows at C = 100
+with class-sorted labels, so that every block edge falls inside a class's
+rows, one class with no rows and one only in the final three; three parts for NKDL logit-cache files: the
 bytes written and the arrays read back at N in 1, 3 and 16,387 (and a
 header-only N = 0 file, read only) by C in 1, 2 and 100, with float32 edge
 logits (the float32 maximum, the largest float64 that rounds to it, -0.0,
@@ -351,6 +353,26 @@ ANALYZE_BLOCK = 16384  # the rows of one analyze block when this part was added
 ANALYZE_ROWS = 2 * ANALYZE_BLOCK + 3
 
 
+SORTED_ROWS = 16387
+
+
+def _class_sorted_pair():
+    """Caches of ``SORTED_ROWS`` rows at C = 100 whose labels are sorted, so each
+    class's rows are contiguous and every multiple of 1,024 rows below 16,384
+    falls inside a class; class 50 has no rows and class 99 only the final
+    three, past the 16,384-row edge."""
+    from normkd.logitstats import LogitCache
+
+    rng = np.random.default_rng(29)
+    labels = np.sort(rng.integers(0, 99, SORTED_ROWS))
+    labels[labels == 50] = 49
+    labels[-3:] = 99
+    z_t = rng.normal(0.0, 2.0, size=(SORTED_ROWS, 100))
+    z_s = z_t + rng.normal(0.0, 1.0, size=z_t.shape)
+    z_t[::7], z_s[3::7] = z_t[::7, :1], 0.5  # constant rows
+    return [LogitCache(np.arange(SORTED_ROWS), labels, z) for z in (z_t, z_s)]
+
+
 def analyses(d: Digest) -> int:
     from normkd import Dataset, MlpSpec, cache_teacher_logits, init_mlp
     from normkd.experiment import analyze, write_analysis
@@ -370,8 +392,9 @@ def analyses(d: Digest) -> int:
         z_t[::5], z_s[2::5] = z_t[::5, :1], z_s[2::5, 1:2]  # constant rows
         ids = np.arange(ANALYZE_ROWS)
         pairs[f"c={c}"] = [LogitCache(ids, labels, z) for z in (z_t, z_s)]
+    pairs["class-sorted c=100"] = _class_sorted_pair()
     for name, (teacher, student) in pairs.items():
-        d.part(f"analyze {name} n={ANALYZE_ROWS}")
+        d.part(f"analyze {name} n={len(teacher)}")
         result = analyze(teacher, student)
         d.add(result.sample_ids, result.labels, result.raw_matrix, result.norm_matrix)
         for stats in (result.teacher_stats, result.student_stats):
