@@ -349,7 +349,7 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
 # rows per ``analyze`` block (13 MB temporaries at 100 classes): on perfbench big_cache over
 # six run-directory name lengths, 2,048 to 16,384 rows kept the later calls' rates, while
 # 32,768-row temporaries were mapped anew each block, at about twice the page faults
-ANALYZE_BLOCK_ROWS = 16384
+ANALYZE_BLOCK_ROWS = 2048
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,17 +370,6 @@ def frobenius(matrix: np.ndarray) -> float:
     return float(np.sqrt((matrix * matrix).sum()))
 
 
-def _diff_matrix(d: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """|mean of the rows of class c1| of the (N, C) difference ``d``, each class's
-    rows reduced in dataset order; a class with no rows keeps a zero row."""
-    out = np.zeros((d.shape[1],) * 2)
-    for c1 in range(len(out)):
-        mask = labels == c1
-        if mask.any():
-            out[c1] = np.abs(d[mask].mean(axis=0))
-    return out
-
-
 def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> AnalysisResult:
     """Compare teacher and student caches sample by sample.
 
@@ -391,7 +380,9 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
     C-1) row std and t_norm must be positive.  Classes with no samples
     keep zero rows.  The statistics are ``summarize``'s, bit for bit: the
     rows go through in blocks of ``ANALYZE_BLOCK_ROWS``, with one T=1
-    log-softmax per cache and block, and every value is row by row.
+    log-softmax per cache and block, and every value is row by row.  The
+    matrices come from running class sums, each class's rows added in
+    dataset order, so no (N, C) array outlives its block.
     """
     rule = NormStd(t_norm)
     require_cache(teacher, "analyze teacher")
@@ -409,7 +400,8 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
         )
     # every whole-cache array is made before the first block, so the blocks' temporaries
     # leave one free region behind them, not one cut up by later columns
-    raw, norm = np.empty(teacher.logits.shape), np.empty(teacher.logits.shape)
+    c, labels = teacher.num_classes, teacher.labels
+    sums = np.zeros((2, c * c))  # per variant, the running (C, C) class sums, flat
     t_columns, s_columns = ([np.empty(len(teacher)) for _ in range(5)] for _ in range(2))
     for lo in range(0, len(teacher), ANALYZE_BLOCK_ROWS):
         rows = slice(lo, lo + ANALYZE_BLOCK_ROWS)
@@ -417,16 +409,16 @@ def analyze(teacher: LogitCache, student: LogitCache, t_norm: float = 2.0) -> An
         (t_block, p_t), (s_block, p_s) = _row_stats(z_t), _row_stats(z_s)
         for column, values in zip(t_columns + s_columns, t_block + s_block):
             column[rows] = values
-        np.subtract(p_s, p_t, out=raw[rows])
-        np.subtract(teacher_side(rule, z_s)[1], teacher_side(rule, z_t)[1], out=norm[rows])
-    return AnalysisResult(
-        sample_ids=teacher.sample_ids,
-        labels=teacher.labels,
-        teacher_stats=_summary(*t_columns),
-        student_stats=_summary(*s_columns),
-        raw_matrix=_diff_matrix(raw, teacher.labels),
-        norm_matrix=_diff_matrix(norm, teacher.labels),
-    )
+        # each row adds into its class's sums in dataset order, the order a class mean of a
+        # whole-cache difference takes; flat operands take add.at's fast path
+        index = (labels[rows, None] * c + np.arange(c)).ravel()
+        np.add.at(sums[0], index, (p_s - p_t).ravel())
+        np.add.at(sums[1], index, (teacher_side(rule, z_s)[1] - teacher_side(rule, z_t)[1]).ravel())
+    counts = np.bincount(labels, minlength=c)[:, None]
+    raw, norm = (np.abs(np.divide(s.reshape(c, c), counts, out=np.zeros((c, c)), where=counts > 0))
+                 for s in sums)
+    return AnalysisResult(teacher.sample_ids, labels, _summary(*t_columns), _summary(*s_columns),
+                          raw, norm)
 
 
 def write_analysis(result: AnalysisResult, out_dir: Path | str) -> tuple[Path, Path]:

@@ -3,6 +3,7 @@
 import csv
 import io
 import re
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -577,6 +578,19 @@ class TestBlockedAnalyze:
             paths = write_analysis(analyze(teacher, student, t_norm=1.5), tmp_path / str(rows))
             files[rows] = [p.read_bytes() for p in paths]
         assert files[block] == files[self.B]
+
+    def test_keeps_no_whole_cache_matrix(self):
+        # one (N, C) float64 array would be 26 MB here; the blocks' temporaries and the
+        # ten float64 result columns stay well below that
+        n, c = 32768, 100
+        teacher, student = degenerate_pair(n, c, 2)
+        tracemalloc.start()
+        try:
+            analyze(teacher, student)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * teacher.logits.nbytes
 
     def test_summary_csv_is_the_csv_writer_rendering(self, tmp_path):
         rng = np.random.default_rng(8)
