@@ -8,7 +8,8 @@ Little-endian layout, independent of host byte order:
     offset 12  u32    C (class count)
     offset 16  N records of: u32 sample_id, u32 label, C float32 logits
 
-Total size is exactly 16 + N*(8 + 4*C) bytes.  Logits are stored as
+Total size is exactly 16 + N*(8 + 4*C) bytes, and C is at most 536,870,909,
+so that a record's 8 + 4*C bytes fit numpy's C int.  Logits are stored as
 float32 (the serialization boundary); reading widens them to float64
 exactly, so write-read-write reproduces the file byte for byte.  A write
 and a read each move the records through one numpy record array: no
@@ -32,9 +33,13 @@ MAGIC = b"NKDL"
 VERSION = 1
 _HEADER = struct.Struct("<4sIII")
 _ID_LIMIT = 2**32
+_RECORD_LIMIT = 2**31 - 1  # numpy keeps a record's size in bytes in a C int
 
 
-def _record_dtype(c: int) -> np.dtype:
+def _record_dtype(path, c: int) -> np.dtype:
+    if 8 + 4 * c > _RECORD_LIMIT:
+        raise FileFormatError(f"{path}: class count {c} is too large: a record of "
+                              f"{8 + 4 * c} bytes is over {_RECORD_LIMIT}")
     return np.dtype([("sample_id", "<u4"), ("label", "<u4"), ("logits", "<f4", (c,))])
 
 
@@ -53,7 +58,7 @@ def write_logit_cache(path: Path | str, cache: LogitCache) -> None:
     n, c = cache.logits.shape
     data = np.empty(_HEADER.size + n * (8 + 4 * c), dtype=np.uint8)
     _HEADER.pack_into(data, 0, MAGIC, VERSION, n, c)
-    body = np.ndarray(n, dtype=_record_dtype(c), buffer=data, offset=_HEADER.size)
+    body = np.ndarray(n, dtype=_record_dtype(path, c), buffer=data, offset=_HEADER.size)
     body["sample_id"] = cache.sample_ids
     body["label"] = cache.labels
     with np.errstate(over="ignore"):
@@ -88,11 +93,11 @@ def _read_records(path: Path, fh) -> np.ndarray:
         rest = fh.read()
         size = _HEADER.size + len(rest)
         if size == expected:
-            return np.frombuffer(rest, dtype=_record_dtype(c))
+            return np.frombuffer(rest, dtype=_record_dtype(path, c))
     else:
         size = info.st_size
         if size == expected:
-            raw = np.empty(n, dtype=_record_dtype(c))
+            raw = np.empty(n, dtype=_record_dtype(path, c))
             size = _HEADER.size + fh.readinto(memoryview(raw).cast("B"))
             if size == expected:
                 return raw

@@ -343,9 +343,11 @@ class TestEvalCommand:
         [
             (struct.pack("<4sIII", b"NKDL", 1, 0, 3), 4, "{}: cache has no records"),
             (struct.pack("<4sIII", b"NKDL", 1, 0, 0), 3, "{}: class count must be positive, got 0"),
+            (struct.pack("<4sIII", b"NKDL", 1, 0, 2**32 - 1), 3,
+             "{}: class count 4294967295 is too large"),
             (None, 3, "cannot read cache {}: [Errno 2] No such file or directory"),
         ],
-        ids=["no_records", "no_classes", "missing"],
+        ids=["no_records", "no_classes", "too_many_classes", "missing"],
     )
     def test_unusable_cache_exits_coded(self, tmp_path, capsys, content, code, message):
         path = tmp_path / "c.nkdl"
