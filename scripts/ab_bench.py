@@ -19,7 +19,10 @@ then per workload each side's fault counts, pair by pair and as a median
 and quartiles (the count names a run's heap mode), and per end-to-end
 metric the medians and quartiles of both sides, the parent's IQR, in how
 many pairs the change was better, and how much worse its median is than
-the parent's against ``BENCHMARK.json``'s bound.  It also records the
+the parent's against ``BENCHMARK.json``'s bound.  A metric is marked
+``unresolved`` when the parent's IQR is wider than the bound times the
+parent's median, unless every change run beats every parent run: its
+runs spread too widely for the medians to say it moved.  It also records the
 checks failed per side, both revisions' shas, numpy, ``nproc``, glibc and
 the transparent-hugepage setting.  The file is
 rewritten after every run, so a stopped measurement keeps what it ran.
@@ -108,7 +111,8 @@ def _quartiles(values: list) -> list:
 
 
 def summarize(runs: list[dict], spec: dict) -> dict:
-    """Per workload and end-to-end metric: medians, quartiles, wins and the bound check."""
+    """Per workload and end-to-end metric: medians, quartiles, wins, the bound check
+    and whether the parent's spread leaves the metric unresolved."""
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
         pairs = {}
@@ -136,14 +140,19 @@ def summarize(runs: list[dict], spec: dict) -> dict:
             wins = sum((c < p) if lower else (c > p)
                        for p, c in zip(values["parent"], values["change"]))
             worse_by = ratio - 1.0 if lower else 1.0 - ratio
+            iqr = quartiles["parent"][1] - quartiles["parent"][0]
+            if lower:
+                separated = max(values["change"]) < min(values["parent"])
+            else:
+                separated = min(values["change"]) > max(values["parent"])
             out[name] = {
                 "parent_median": median["parent"], "change_median": median["change"],
                 "change_over_parent": round(ratio, 4),
                 "parent_quartiles": quartiles["parent"], "change_quartiles": quartiles["change"],
-                "parent_iqr": quartiles["parent"][1] - quartiles["parent"][0],
-                "change_wins": f"{wins} of {len(pairs)}",
+                "parent_iqr": iqr, "change_wins": f"{wins} of {len(pairs)}",
                 "worse_by": round(worse_by, 4), "bound": metric["bound"],
                 "within_bound": worse_by <= metric["bound"],
+                "unresolved": iqr > metric["bound"] * abs(median["parent"]) and not separated,
             }
     return summary
 

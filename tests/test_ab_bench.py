@@ -58,14 +58,40 @@ def test_summary_per_metric(ab_bench):
         "parent_median": 12, "change_median": 16, "change_over_parent": 1.3333,
         "parent_quartiles": [11, 13], "change_quartiles": [15, 17], "parent_iqr": 2,
         "change_wins": "0 of 5", "worse_by": 0.3333, "bound": 0.25, "within_bound": False,
+        "unresolved": False,
     }
     assert out["stage1_per_s"] == {
         "parent_median": 300, "change_median": 330, "change_over_parent": 1.1,
         "parent_quartiles": [200, 400], "change_quartiles": [150, 450], "parent_iqr": 200,
         "change_wins": "4 of 5", "worse_by": -0.1, "bound": 0.25, "within_bound": True,
+        "unresolved": True,
     }
 
 
 def test_workload_with_no_whole_pair_has_no_summary(ab_bench):
     runs = [_run(0, "parent", 1, 1, 1), dict(_run(0, "change", 1, 1, 1), result=None)]
     assert ab_bench.summarize(runs, SPEC) == {}
+
+
+def _pairs(parent, change):
+    """Runs of five pairs whose wall_s and stage1_per_s both read ``parent`` and ``change``."""
+    return [_run(pair, side, value, value, 0)
+            for pair in range(5) for side, value in (("parent", parent[pair]),
+                                                     ("change", change[pair]))]
+
+
+@pytest.mark.parametrize("parent,change,wall,rate", [
+    # parent median 100, IQR 15 against a bound of 0.25 * 100: resolved either way
+    ([90, 95, 100, 110, 115], [100] * 5, False, False),
+    # IQR exactly the bound times the median is not wider than it
+    ([80, 95, 100, 120, 125], [100] * 5, False, False),
+    # IQR 30: unresolved, unless every change run is better than every parent run
+    ([70, 90, 100, 120, 130], [100] * 5, True, True),
+    ([70, 90, 100, 120, 130], [60, 61, 62, 63, 64], False, True),
+    ([70, 90, 100, 120, 130], [131, 140, 150, 160, 170], True, False),
+    # a change run that ties the parent's best run does not beat it
+    ([70, 90, 100, 120, 130], [70, 61, 62, 63, 64], True, True),
+])
+def test_unresolved_when_the_parent_spreads_past_the_bound(ab_bench, parent, change, wall, rate):
+    out = ab_bench.summarize(_pairs(parent, change), SPEC)["w"]
+    assert (out["wall_s"]["unresolved"], out["stage1_per_s"]["unresolved"]) == (wall, rate)
