@@ -346,10 +346,11 @@ def run_teacher_training(cfg: ExperimentConfig) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 # Analysis: per-sample statistics and class-difference matrices
 
-# rows per ``analyze`` block (13 MB temporaries at 100 classes): on perfbench big_cache over
-# six run-directory name lengths, 2,048 to 16,384 rows kept the later calls' rates, while
-# 32,768-row temporaries were mapped anew each block, at about twice the page faults
-ANALYZE_BLOCK_ROWS = 2048
+# rows per ``analyze`` block (0.8 MB per temporary at 100 classes): on perfbench big_cache,
+# 1,024 rows read stage3 1.05x over 2,048 (4 of 4 pairs) and 4,096 rows 1.02x (2 of 4); at
+# 100k x 100 in process, 1,024-row blocks ran 0.56 s with no page faults, while 2,048- and
+# 4,096-row temporaries were at times mapped anew (up to 1.6k and 5.9k faults, 0.57 and 0.60 s)
+ANALYZE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True, eq=False)
