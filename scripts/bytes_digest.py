@@ -38,8 +38,12 @@ subnormals and round-half ties), every write error (empty, a sample id
 outside u32, a logit beyond float32 at several rows) and every read error
 (a missing file, a directory, each short header, bad magic, version or
 class count, a body a byte short or long, a bad label, a non-finite
-record and a header that claims 2**32-1 records of 2**32-1 classes); and
-``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
+record and a header that claims 2**32-1 records of 2**32-1 classes); one
+``datasets`` part: both ``make_blobs`` splits (features, labels and label
+dtype) at four small sizes and at perfbench big_cache's, and the
+``write_dataset`` bytes, read back by ``read_dataset``, of every split but
+big_cache's, of a 0-row dataset and of one with -0.0, 5e-324, 1e-300 and
+the float64 extremes; and ``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
 default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
 instances=5`` for each of the audit's losses.  Last come
 ``numcore.grad_check``'s errors by ``float.hex``, one part per audit loss:
@@ -517,6 +521,38 @@ def cache_files(d: Digest) -> int:
     return files
 
 
+BLOBS = ((2, 1, 2, 0.5, 7), (3, 2, 5, 1.0, 0), (4, 6, 40, 2.0, 3), (10, 16, 200, 2.0, 42))
+BIG_BLOBS = (100, 32, 1250, 2.0, 100)  # perfbench big_cache's make_blobs, drawn but not written
+DATASET_EDGES = (-0.0, 5e-324, 1e-300, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+def dataset_files(d: Digest) -> int:
+    """``make_blobs``' two splits at every ``BLOBS`` size and big_cache's, then the
+    ``write_dataset`` bytes of every split but big_cache's, of a 0-row dataset and
+    of one with edge floats, each read back with ``read_dataset``."""
+    from normkd import Dataset, make_blobs
+    from normkd.datasets import read_dataset, write_dataset
+
+    d.part("datasets")
+    to_write = {}
+    for args in (*BLOBS, BIG_BLOBS):
+        for split, data in zip(("train", "val"), make_blobs(*args)):
+            d.add(args, split, data.features, data.labels, data.labels.dtype.str)
+            if args != BIG_BLOBS:
+                to_write[f"{args} {split}"] = data
+    to_write["0 rows"] = Dataset(np.zeros((0, 3)), np.zeros(0, np.int64), 2)
+    edges = np.random.default_rng(31).normal(0.0, 2.0, size=(4, 3))
+    edges.reshape(-1)[:len(DATASET_EDGES)] = DATASET_EDGES
+    to_write["edge floats"] = Dataset(edges, [0, 2, 1, 0], 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        for name, data in to_write.items():
+            write_dataset(path, data)
+            back = read_dataset(path)
+            d.add(name, path.read_bytes(), back.features, back.labels, back.num_classes)
+    return len(to_write)
+
+
 def grad_checks(d: Digest) -> int:
     from normkd import gradient_check_suite
 
@@ -745,6 +781,7 @@ def main(argv=None) -> int:
         summary = (f"{loss_grid(d)} loss cases, {trainings(d)} training runs, "
                    f"{big_forwards(d)} large-batch forwards, {wrappers(d)} wrapper rows, "
                    f"{analyses(d)} analyses, {cache_files(d)} cache-file cases, "
+                   f"{dataset_files(d)} dataset files, "
                    f"{grad_checks(d)} grad-check calls, "
                    f"{grad_check_errors(d)} grad_check errors")
     if args.each:
