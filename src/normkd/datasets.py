@@ -100,28 +100,21 @@ def make_blobs(
     rng = np.random.default_rng(seed)
     centers = _place_centers(rng, classes, dim, separation)
     n_train = per_class * 4 // 5
-    train_feat, train_lab, val_feat, val_lab = [], [], [], []
-    for k in range(classes):
-        samples = centers[k] + BLOB_STD * rng.standard_normal((per_class, dim))
-        train_feat.append(samples[:n_train])
-        train_lab.append(np.full(n_train, k, dtype=np.int64))
-        val_feat.append(samples[n_train:])
-        val_lab.append(np.full(per_class - n_train, k, dtype=np.int64))
+    draws = [center + BLOB_STD * rng.standard_normal((per_class, dim)) for center in centers]
 
-    def _assemble(feats, labs) -> Dataset:
-        x = np.concatenate(feats)
-        y = np.concatenate(labs)
+    def _split(rows: slice) -> Dataset:
+        x = np.concatenate([draw[rows] for draw in draws])
+        y = np.repeat(np.arange(classes, dtype=np.int64), x.shape[0] // classes)
         order = rng.permutation(x.shape[0])
         return Dataset(x[order], y[order], classes)
 
-    return _assemble(train_feat, train_lab), _assemble(val_feat, val_lab)
+    return _split(slice(n_train)), _split(slice(n_train, None))
 
 
 def write_dataset(path: Path | str, data: Dataset) -> None:
     lines = [f"{data.num_classes} {data.num_features} {data.n_samples}"]
-    for i in range(data.n_samples):
-        feats = ",".join(repr(float(v)) for v in data.features[i])
-        lines.append(f"{int(data.labels[i])},{feats}")
+    lines += (",".join(map(repr, [label, *feats.tolist()]))
+              for label, feats in zip(data.labels.tolist(), data.features))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
