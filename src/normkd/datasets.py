@@ -139,8 +139,13 @@ def read_dataset(path: Path | str) -> Dataset:
     rows = [ln for ln in lines[1:] if ln.strip()]
     if len(rows) != n:
         raise FileFormatError(f"{path}: expected {n} rows, found {len(rows)}")
-    features = np.empty((n, d))
     labels = np.empty(n, dtype=np.int64)
+    # no (N, D) array until row 1 holds the header's D features (the loop refuses it if not)
+    try:
+        features = np.empty((n, d)) if not n or rows[0].count(",") == d else None
+    except (MemoryError, ValueError) as exc:
+        raise FileFormatError(f"{path}: header {lines[0]!r} needs an array numpy cannot make: "
+                              f"{exc}") from exc
     for i, row in enumerate(rows):
         parts = row.split(",")
         if len(parts) != d + 1:
@@ -150,7 +155,7 @@ def read_dataset(path: Path | str) -> Dataset:
         try:
             labels[i] = int(parts[0])
             features[i] = [float(p) for p in parts[1:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise FileFormatError(f"{path}: unparseable row {i + 1}: {exc}") from exc
     if n and (labels.min() < 0 or labels.max() >= c):
         raise FileFormatError(f"{path}: labels outside [0, {c})")

@@ -50,7 +50,13 @@ class MlpSpec:
             raise ConfigError(f"layer widths must be positive, got {widths}")
         if self.init_seed < 0:
             raise ConfigError(f"init_seed must be nonnegative, got {self.init_seed}")
+        if 8 * sum(a * b + b for a, b in zip(widths, widths[1:])) > np.iinfo(np.intp).max:
+            raise _unallocatable(widths)
         object.__setattr__(self, "layer_widths", widths)
+
+
+def _unallocatable(widths: tuple[int, ...]) -> ConfigError:
+    return ConfigError(f"layer widths {widths} need more parameter memory than numpy can allocate")
 
 
 @dataclass(frozen=True)
@@ -126,10 +132,13 @@ def init_mlp(spec: MlpSpec) -> Params:
     rng = np.random.default_rng(spec.init_seed)
     params: Params = []
     widths = spec.layer_widths
-    for d_in, d_out in zip(widths, widths[1:]):
-        bound = 1.0 / np.sqrt(d_in)
-        w = rng.uniform(-bound, bound, size=(d_in, d_out))
-        params.append((w, np.zeros(d_out)))
+    try:
+        for d_in, d_out in zip(widths, widths[1:]):
+            bound = 1.0 / np.sqrt(d_in)
+            w = rng.uniform(-bound, bound, size=(d_in, d_out))
+            params.append((w, np.zeros(d_out)))
+    except MemoryError as exc:
+        raise _unallocatable(widths) from exc
     return params
 
 

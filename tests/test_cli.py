@@ -176,6 +176,31 @@ class TestDistillCommand:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "train_text,layers,code,message",
+        [
+            ("3 4 1\n99999999999999999999,1,2,3,4\n", "4,6,3", 3,
+             "{train}: unparseable row 1: Python int too large to convert to C long"),
+            ("2 1000000000000000000 1\n0,1\n", "4,6,3", 3,
+             "{train}: row 1 has 1 features, expected 1000000000000000000"),
+            (None, "4,1000000000000000000,3", 2,
+             "layer widths (4, 1000000000000000000, 3) need more parameter memory than numpy "
+             "can allocate"),
+        ],
+        ids=["label beyond int64", "header D beyond memory", "layer width beyond memory"],
+    )
+    def test_input_numpy_cannot_hold_is_one_coded_error(self, tmp_path, capsys, train_text,
+                                                         layers, code, message):
+        gen_data(tmp_path)
+        train = tmp_path / "blobs.train.txt"
+        if train_text is not None:
+            train.write_text(train_text)
+        cfg = write_config(tmp_path, extra=f"student_layers = {layers}\n",
+                           drop=("student_layers", "teacher_layers", "rule"))
+        assert main(["distill", "--config", str(cfg)]) == code
+        assert capsys.readouterr().err == f"error: {message.format(train=train)}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_output_dir_that_is_a_file_exits_3(self, tmp_path, capsys):
         gen_data(tmp_path)
         (tmp_path / "out").write_bytes(b"kept")

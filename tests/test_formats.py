@@ -1,18 +1,22 @@
 """Dataset text files and binary logit caches: round-trips and coded errors."""
 
+import itertools
 import os
 import re
 import stat
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from normkd.datasets import Dataset, make_blobs, read_dataset, write_dataset
-from normkd.errors import ConfigError, ContractError, FileFormatError, NumericError
+from normkd.errors import ConfigError, ContractError, FileFormatError, NormKDError, NumericError
 from normkd.logitcache import read_logit_cache, write_logit_cache
 from normkd.logitstats import LogitCache
 
@@ -110,6 +114,7 @@ class TestDatasetFile:
             ("0 2 0\n", "header '0 2 0' needs"),
             ("-2 2 0\n", "header '-2 2 0' needs"),
             ("2 2 -1\n", "header '2 2 -1' needs"),
+            (f"2 {2**63} 0\n", f"header '2 {2**63} 0' needs an array numpy cannot make"),
         ],
     )
     def test_malformed_files_coded_errors(self, tmp_path, content, message):
@@ -128,6 +133,105 @@ class TestDatasetFile:
         message = re.escape(f"cannot read dataset {path}: 'utf-8' codec")
         with pytest.raises(FileFormatError, match=message):
             read_dataset(path)
+
+    def test_reads_and_inits_under_a_2_gib_address_space(self):
+        """``check_unallocatable_inputs`` in a fresh interpreter capped at 2 GiB, so
+        an allocation no check caught fails fast with MemoryError instead of paging."""
+        pytest.importorskip("hypothesis")
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import test_formats\n"
+            "test_formats.check_unallocatable_inputs()\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+
+HEADER_EDGES = (0, 1, 2**31 - 1, 2**32 - 1, 2**63, 10**18)
+
+
+def _with_header_field(data: bytes, field: int, value: int) -> bytes:
+    header, newline, body = data.partition(b"\n")
+    fields = header.split()
+    if field < len(fields):
+        fields[field] = str(value).encode()
+    return b" ".join(fields) + newline + body
+
+
+def _mutate(data: bytes, mutation) -> bytes:
+    kind, at, arg = mutation
+    if kind == "header":
+        return _with_header_field(data, at, arg)
+    at %= len(data) + 1
+    if kind == "truncate":
+        return data[:at]
+    if kind == "flip":
+        return data[:at] + bytes([data[at] ^ arg]) + data[at + 1:] if at < len(data) else data
+    return data[:at] + arg.encode() + data[at:]  # a run of digits
+
+
+def _read_or_coded_error(path: Path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        result = read_dataset(path)
+    except NormKDError:
+        return
+    assert isinstance(result, Dataset)
+
+
+def check_unallocatable_inputs() -> None:
+    """A dataset file's mutants read as a Dataset or raise a NormKDError: truncation
+    at every length, each header field at integer edges, then derandomized mixes of
+    truncations, byte flips, digit runs and header edges.  Under a 2 GiB address
+    space, a file whose (N, D) array cannot be made and a layer spec whose
+    parameters cannot be allocated raise coded errors."""
+    import tempfile
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from normkd.trainer import MlpSpec, init_mlp
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.txt"
+        write_dataset(path, make_blobs(3, 2, 5, 1.0, seed=0)[0])
+        bases = (path.read_bytes(), b"3 2 0\n")
+        for base in bases:
+            for length in range(len(base) + 1):
+                _read_or_coded_error(path, base[:length])
+            for field, value in itertools.product(range(3), HEADER_EDGES):
+                _read_or_coded_error(path, _with_header_field(base, field, value))
+
+        mutation = st.one_of(
+            st.tuples(st.just("truncate"), st.integers(0, 2**16), st.none()),
+            st.tuples(st.just("flip"), st.integers(0, 2**16), st.integers(1, 255)),
+            st.tuples(st.just("digits"), st.integers(0, 2**16),
+                      st.text("0123456789", min_size=1, max_size=40)),
+            st.tuples(st.just("header"), st.integers(0, 2), st.sampled_from(HEADER_EDGES)),
+        )
+
+        @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+        @given(st.sampled_from(bases), st.lists(mutation, min_size=1, max_size=4))
+        def mutants_read_or_raise_coded_errors(base, mutations):
+            data = base
+            for m in mutations:
+                data = _mutate(data, m)
+            _read_or_coded_error(path, data)
+
+        mutants_read_or_raise_coded_errors()
+
+        # row 1 holds the header's D, so the 300,000 x 1,000 array (2.4 GB) is attempted
+        path.write_text("2 1000 300000\n0" + ",1.0" * 1000 + "\n0" * 299999 + "\n")
+        with pytest.raises(FileFormatError, match="needs an array numpy cannot make"):
+            read_dataset(path)
+    with pytest.raises(ConfigError, match=re.escape(
+            "layer widths (4, 1000000000, 3) need more parameter memory than numpy can allocate")):
+        init_mlp(MlpSpec((4, 10**9, 3)))
 
 
 def rows(logits, sample_ids=None, labels=None):
