@@ -7,6 +7,7 @@ import stat
 import struct
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from pathlib import Path
@@ -190,8 +191,6 @@ def check_unallocatable_inputs() -> None:
     truncations, byte flips, digit runs and header edges.  Under a 2 GiB address
     space, a file whose (N, D) array cannot be made and a layer spec whose
     parameters cannot be allocated raise coded errors."""
-    import tempfile
-
     from hypothesis import given, settings
     from hypothesis import strategies as st
 
