@@ -43,9 +43,9 @@ record and a header that claims 2**32-1 records of 2**32-1 classes); one
 dtype) at four small sizes and at perfbench big_cache's, and the
 ``write_dataset`` bytes, read back by ``read_dataset``, of every split but
 big_cache's, of a 0-row dataset and of one with -0.0, 5e-324, 1e-300 and
-the float64 extremes; and ``gradient_check_suite``'s errors by ``float.hex``, one part per call: the
-default call, ``instances=7, step=1e-6``, and ``inject_fault=name,
-instances=5`` for each of the audit's losses.  Last come
+the float64 extremes; and ``gradient_check_suite``'s errors by ``float.hex``,
+one part per call: the default call, ``instances=7, step=1e-6``, and
+``inject_fault=name, instances=5`` for each of the audit's losses.  Last come
 ``numcore.grad_check``'s errors by ``float.hex``, one part per audit loss:
 its public taped entry point (``kd_loss``, ``multi_temp_kld``,
 ``normkd_loss``, ``distill_loss`` or ``combine`` of two) at the audit's
